@@ -167,35 +167,31 @@ func measureSnapshot(w io.Writer) (*benchSnapshot, error) {
 			}
 		}
 	}
-	// Re-cost benchmarks alternate two cost vectors so every warm re-solve
-	// runs real Dijkstra rounds (unchanged costs hit the delta-zero path and
-	// never enter the queue) — the heap/bucket rows differ only in the
-	// scratch's forced queue mode.
+	// The re-cost benchmark alternates two cost vectors so every warm
+	// re-solve runs real Dijkstra rounds on the heap (unchanged costs hit the
+	// delta-zero path and never enter the queue).
 	costs2 := make([]int64, len(costs))
 	for i, c := range costs {
 		costs2[i] = 2 * c
 	}
-	recostBench := func(mode flow.QueueMode) func(b *testing.B) {
-		return func(b *testing.B) {
-			sc := flow.NewScratchSized(build.Net.N(), build.Net.M())
-			sc.SetQueueMode(mode)
-			var sol flow.Solution
-			var st flow.SolveStats
-			for _, c := range [][]int64{costs, costs2} {
-				if err := build.Net.MinCostFlowValueWithCostsInto(flow.SSP, c, sc, build.S, build.T, value, &sol, &st); err != nil {
-					b.Fatal(err)
-				}
+	recostBench := func(b *testing.B) {
+		sc := flow.NewScratchSized(build.Net.N(), build.Net.M())
+		var sol flow.Solution
+		var st flow.SolveStats
+		for _, c := range [][]int64{costs, costs2} {
+			if err := build.Net.MinCostFlowValueWithCostsInto(flow.SSP, c, sc, build.S, build.T, value, &sol, &st); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := costs
-				if i%2 == 1 {
-					c = costs2
-				}
-				if err := build.Net.MinCostFlowValueWithCostsInto(flow.SSP, c, sc, build.S, build.T, value, &sol, &st); err != nil {
-					b.Fatal(err)
-				}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := costs
+			if i%2 == 1 {
+				c = costs2
+			}
+			if err := build.Net.MinCostFlowValueWithCostsInto(flow.SSP, c, sc, build.S, build.T, value, &sol, &st); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
@@ -233,8 +229,7 @@ func measureSnapshot(w io.Writer) (*benchSnapshot, error) {
 		}},
 		{"solver_ssp_cold", solverBench(flow.SSP, false)},
 		{"solver_ssp_warm", solverBench(flow.SSP, true)},
-		{"solver_recost_heap", recostBench(flow.QueueHeap)},
-		{"solver_recost_bucket", recostBench(flow.QueueBucket)},
+		{"solver_recost_heap", recostBench},
 		{"solver_cyclecancel", solverBench(flow.CycleCancelling, false)},
 	}
 	snap := benchSnapshot{Speedups: map[string]float64{}, RunStats: map[string]core.RunStats{}}
@@ -275,7 +270,6 @@ func measureSnapshot(w io.Writer) (*benchSnapshot, error) {
 		{"sweep_warm", "sweep_warm_par"},
 		{"sweep_warm", "sweep_rerun"},
 		{"solver_ssp_cold", "solver_ssp_warm"},
-		{"solver_recost_heap", "solver_recost_bucket"},
 	} {
 		cold, warm := byName[pair[0]], byName[pair[1]]
 		if warm.NsPerOp > 0 {

@@ -5,8 +5,7 @@
 // template caches amortise network construction across requests with
 // repeated program shapes. With -shards above 1, requests are routed by
 // their program-shape key so each shard's cache stays warm for its share of
-// the corpus; with -batch above 1, requests that queue up behind a solve are
-// coalesced into one super-network and solved in a single warm batch pass.
+// the corpus.
 //
 // Endpoints:
 //
@@ -58,7 +57,6 @@ func run(args []string, w io.Writer, ready chan<- string, stop <-chan struct{}) 
 		workers  = fs.Int("workers", 4, "solver worker pool size per shard")
 		queue    = fs.Int("queue", 64, "admission queue depth per shard (full queue => HTTP 429)")
 		cache    = fs.Int("cache", 128, "template cache capacity per shard (program shapes)")
-		batch    = fs.Int("batch", 1, "max queued requests coalesced into one batched solve (1 = off)")
 		timeout  = fs.Duration("timeout", 10*time.Second, "per-request timeout")
 		maxBytes = fs.Int("max-program-bytes", engine.DefaultMaxProgramBytes, "largest accepted TAC program")
 		drain    = fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
@@ -76,7 +74,6 @@ func run(args []string, w io.Writer, ready chan<- string, stop <-chan struct{}) 
 			Workers:         *workers,
 			QueueDepth:      *queue,
 			CacheEntries:    *cache,
-			BatchMax:        *batch,
 			RequestTimeout:  *timeout,
 			MaxProgramBytes: *maxBytes,
 		},
@@ -91,8 +88,8 @@ func run(args []string, w io.Writer, ready chan<- string, stop <-chan struct{}) 
 	sigCtx, cancelSig := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer cancelSig()
 
-	fmt.Fprintf(w, "leaserved: listening on %s (%d shards, %d workers, queue %d, cache %d, batch %d)\n",
-		ln.Addr(), *shards, *workers, *queue, *cache, *batch)
+	fmt.Fprintf(w, "leaserved: listening on %s (%d shards, %d workers, queue %d, cache %d)\n",
+		ln.Addr(), *shards, *workers, *queue, *cache)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

@@ -147,11 +147,12 @@ func TestDaemonServesAndDrainsCleanly(t *testing.T) {
 	}
 }
 
-// TestDaemonShardedBatched runs a 2-shard batching daemon: requests for two
-// distinct programs spread deterministically, /statsz carries the per-shard
-// snapshots, and /metrics labels every series with its shard.
+// TestDaemonShardedBatched runs a 2-shard daemon with one worker per shard:
+// requests for two distinct programs spread deterministically, /statsz
+// carries the per-shard snapshots, and /metrics labels every series with its
+// shard.
 func TestDaemonShardedBatched(t *testing.T) {
-	base, _, shutdown := startDaemon(t, "-shards", "2", "-workers", "1", "-batch", "4", "-queue", "16")
+	base, _, shutdown := startDaemon(t, "-shards", "2", "-workers", "1", "-queue", "16")
 
 	programs := []string{
 		testTAC,

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/actmem"
 	"repro/internal/baseline"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/emit"
 	"repro/internal/moa"
@@ -65,9 +66,11 @@ func RunProgram(p *Program, cfg PipelineConfig) (*PipelineResult, error) {
 	return pipeline.Run(p, cfg)
 }
 
-// CheckProgramDataflow verifies block-to-block value handover.
+// CheckProgramDataflow verifies block-to-block value handover: every block
+// input is an output of an earlier block (in task order) or, when
+// allowExternal, a program input, and every value has one producer.
 func CheckProgramDataflow(p *Program, allowExternal bool) error {
-	return pipeline.CheckDataflow(p, allowExternal)
+	return check.Dataflow(p, allowExternal).Err()
 }
 
 // Regenerate applies the data-regeneration transformation (§5 methodology):

@@ -62,8 +62,7 @@ func checkBlock(ds *Diagnostics, b *ir.Block) {
 // Dataflow validates the block-to-block handover of a program: every block
 // input is an output of an earlier block (in task order) or, when
 // allowExternal, a program input; and every value has exactly one producer.
-// Codes LEA1010 (missing producer) and LEA1011 (duplicate producer). This is
-// the structured form of the former pipeline.CheckDataflow.
+// Codes LEA1010 (missing producer) and LEA1011 (duplicate producer).
 func Dataflow(p *ir.Program, allowExternal bool) Diagnostics {
 	var ds Diagnostics
 	produced := make(map[string]string) // value -> producing block

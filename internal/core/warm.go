@@ -22,7 +22,7 @@ type Prepared struct {
 	engine    flow.Engine
 	scratch   *flow.Scratch
 	tpl       *netbuild.Template
-	baseStats RunStats        // split/pin/build timings and sizes, copied into every run
+	baseStats RunStats        // sizes for every run; split/pin/build timings until one run reports them
 	costs     []int64         // reusable cost-vector buffer
 	sol       flow.Solution   // reusable solve output; aliased by Result.Solution
 	sst       flow.SolveStats // reusable solver stats, copied into Result.Stats
@@ -99,8 +99,10 @@ func (pre *Prepared) CostView(co netbuild.CostOptions) (*CostView, error) {
 // model and decodes the result. Successive calls reuse the built topology;
 // calls repeating the previous register count additionally reuse the
 // solver's residual and, when still valid, its node potentials
-// (Result.Stats.Solver reports WarmStart / PotentialsReused). The returned
-// Result's SplitTime/PinTime/BuildTime repeat the one-off preparation cost.
+// (Result.Stats.Solver reports WarmStart / PotentialsReused). The first
+// Result after Prepare carries the one-off SplitTime/PinTime/BuildTime; every
+// later Result reports them as zero, so stage times summed over results count
+// the preparation exactly once.
 //
 // The Result's Solution field aliases the Prepared's reusable solve buffer:
 // it is valid until the next Allocate/AllocateView on this Prepared. Callers
@@ -157,50 +159,7 @@ func (pre *Prepared) allocate(registers int, co netbuild.CostOptions, costs []in
 	}
 	stats.TotalTime = time.Since(start)
 	res.Stats = stats
-	if c := statsCollector(); c != nil {
-		c(stats)
-	}
-	return res, nil
-}
-
-// DecodeSolution decodes a flow solution that was computed outside this
-// Prepared — the batch-serving path, where many prepared problems are merged
-// into one super-network (netbuild.NewBatch), solved in a single
-// flow.SolveBatchWithCosts pass and sliced back per item (Batch.Sub). The
-// solution must be the item's slice of such a batch solve (or any solve of
-// this template's network at this register count under co); by the batching
-// invariant it is then identical to what Allocate would have produced, and so
-// is the decoded Result. sst is recorded as the run's solver stats.
-//
-// Unlike Allocate, DecodeSolution only reads the Prepared (template, options,
-// base stats) — it touches neither the scratch nor the cost buffer — so it is
-// safe to call concurrently with Allocate on the same Prepared.
-func (pre *Prepared) DecodeSolution(registers int, co netbuild.CostOptions, baseline float64, sol *flow.Solution, sst *flow.SolveStats) (*Result, error) {
-	if registers < 0 {
-		return nil, fmt.Errorf("core: negative register count %d", registers)
-	}
-	start := time.Now()
-	stats := pre.baseStats
-	if sst != nil {
-		stats.Solver = *sst
-		stats.SolveTime = sst.Duration
-	}
-
-	opts := pre.opts
-	opts.Registers = registers
-	opts.Cost = co
-	view := pre.tpl.BuildFor(co, baseline)
-	if err := debugSolve(opts, view, sol, registers); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	res, err := decode(view, sol, opts)
-	stats.DecodeTime = time.Since(t0)
-	if err != nil {
-		return nil, err
-	}
-	stats.TotalTime = time.Since(start)
-	res.Stats = stats
+	pre.baseStats.SplitTime, pre.baseStats.PinTime, pre.baseStats.BuildTime = 0, 0, 0
 	if c := statsCollector(); c != nil {
 		c(stats)
 	}

@@ -25,9 +25,8 @@ type ArcID int
 
 // Network is a directed flow network under construction. Arc fields are kept
 // in parallel (structure-of-arrays) slices so that bulk operations — cost
-// vector installs, batch emission (AppendNetwork), residual construction —
-// stream contiguous memory per field. The zero value is not usable; create
-// one with NewNetwork.
+// vector installs, residual construction — stream contiguous memory per
+// field. The zero value is not usable; create one with NewNetwork.
 type Network struct {
 	n int
 	// Parallel per-arc storage, indexed by ArcID.
@@ -119,41 +118,6 @@ func (nw *Network) MustArc(from, to int, lower, capacity, cost int64) ArcID {
 		panic(err)
 	}
 	return id
-}
-
-// AppendNetwork replays every arc and non-zero supply of src into nw with
-// node IDs shifted by nodeOffset, overriding arc costs to zero when zeroCosts
-// is set (the batch-emission convention: batch solves price arcs through an
-// explicit cost vector). It is the bulk SoA path behind netbuild's batch
-// super-network construction — five slice copies plus an offset fixup instead
-// of a per-arc AddArc loop. The appended arcs keep src's ArcID order,
-// starting at the returned base ArcID.
-func (nw *Network) AppendNetwork(src *Network, nodeOffset int, zeroCosts bool) (ArcID, error) {
-	if nodeOffset < 0 || nodeOffset+src.n > nw.n {
-		return -1, fmt.Errorf("flow: node offset %d puts %d nodes outside [0,%d)", nodeOffset, src.n, nw.n)
-	}
-	base := ArcID(len(nw.from))
-	nw.from = append(nw.from, src.from...)
-	nw.to = append(nw.to, src.to...)
-	for i := int(base); i < len(nw.from); i++ {
-		nw.from[i] += int32(nodeOffset)
-		nw.to[i] += int32(nodeOffset)
-	}
-	nw.lower = append(nw.lower, src.lower...)
-	nw.capU = append(nw.capU, src.capU...)
-	if zeroCosts {
-		for range src.cost {
-			nw.cost = append(nw.cost, 0)
-		}
-	} else {
-		nw.cost = append(nw.cost, src.cost...)
-	}
-	for v, b := range src.supply {
-		if b != 0 {
-			nw.supply[nodeOffset+v] += b
-		}
-	}
-	return base, nil
 }
 
 // SetSupply sets node v's imbalance: positive for supply, negative for

@@ -34,8 +34,8 @@ func (nw *Network) SolveWithCosts(e Engine, costs []int64, sc *Scratch) (*Soluti
 // SolveWithCostsInto is SolveWithCosts writing the solution and stats into
 // caller-owned storage instead of allocating them: sol's flow slice is
 // reused (grown only when too small) and st is overwritten wholesale. On the
-// warm path — prepared topology hit, any engine queue — the entire solve
-// performs zero heap allocations.
+// warm path — prepared topology hit — the entire solve performs zero heap
+// allocations.
 //
 //lea:noalloc
 func (nw *Network) SolveWithCostsInto(e Engine, costs []int64, sc *Scratch, sol *Solution, st *SolveStats) error {
@@ -132,9 +132,6 @@ func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, sol *Sol
 			base = sc.shipped
 			sc.warmPi = true
 			st.Incremental = true
-			// Repair relaxes potentials by sums of unchanged costs, so the
-			// previous solve's key quantum still divides everything.
-			sc.keyUnit = gcd64(sc.keyUnit, gcdSlice(costs))
 		} else {
 			incremental = false
 		}
@@ -148,15 +145,6 @@ func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, sol *Sol
 		// potential vector that passes is a correct starting point
 		// regardless of provenance.
 		sc.warmPi = st.WarmStart && sc.validPotentials()
-		// Distance keys this solve are sums of reduced costs: multiples of
-		// the cost vector's gcd, intersected with the carried potentials'
-		// quantum when those are reused (fresh potentials re-derive from the
-		// costs alone).
-		unit := gcdSlice(costs)
-		if sc.warmPi {
-			unit = gcd64(unit, sc.keyUnit)
-		}
-		sc.keyUnit = unit
 	}
 	pushed, err := e.run(sc, sc.prep.s, sc.prep.t, sc.prep.required-base, st)
 	sc.warmPi = false
@@ -206,7 +194,7 @@ func (sc *Scratch) installCosts(costs []int64) {
 //lea:noalloc
 func (sc *Scratch) preparedFor(nw *Network) bool {
 	p := &sc.prep
-	if !p.valid || p.net != nw || p.n != nw.n || p.m != len(nw.from) || len(p.batch) > 0 {
+	if !p.valid || p.net != nw || p.n != nw.n || p.m != len(nw.from) {
 		return false
 	}
 	for v, b := range nw.supply {
@@ -264,8 +252,6 @@ func (sc *Scratch) prepare(nw *Network) error {
 	p.initCap = append(p.initCap[:0], r.capR...)
 	p.supply = append(p.supply[:0], nw.supply...)
 	p.excess = append(p.excess[:0], b[:nw.n]...)
-	p.comps = p.comps[:0]
-	p.batch = p.batch[:0]
 	p.valid = true // after resetResidual, which clears it
 	return nil
 }
@@ -286,7 +272,7 @@ func (sc *Scratch) prepare(nw *Network) error {
 //lea:noalloc
 func (sc *Scratch) patchSupplies(nw *Network) (ok, grew bool) {
 	p := &sc.prep
-	if !p.valid || p.net != nw || p.n != nw.n || p.m != len(nw.from) || len(p.batch) > 0 {
+	if !p.valid || p.net != nw || p.n != nw.n || p.m != len(nw.from) {
 		return false, false
 	}
 	// Verify first: a failed patch must leave the snapshot consistent.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/ir"
@@ -83,10 +84,10 @@ func TestCheckDataflowHandover(t *testing.T) {
 	prog := parse(t, twoBlockSrc)
 	// stage2's inputs p and s are stage1 outputs: strict mode passes except
 	// for the program-level inputs x, y of stage1.
-	if err := CheckDataflow(prog, true); err != nil {
+	if err := check.Dataflow(prog, true).Err(); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckDataflow(prog, false); err == nil {
+	if err := check.Dataflow(prog, false).Err(); err == nil {
 		t.Fatal("strict mode should reject program inputs x, y")
 	}
 }
@@ -134,7 +135,7 @@ end
 	// Duplicate block-level variable names are legal per block, but two
 	// blocks exporting the same value is a handover ambiguity.
 	prog := parse(t, src)
-	if err := CheckDataflow(prog, true); err == nil {
+	if err := check.Dataflow(prog, true).Err(); err == nil {
 		t.Fatal("duplicate producer accepted")
 	}
 }

@@ -176,6 +176,47 @@ func TestConcurrentMatchesSequentialCold(t *testing.T) {
 	}
 }
 
+// TestPrepareTimeCountedOnce: the cache miss that built a template reports
+// its split/pin/build time; an identical request served from the cache
+// reports none but keeps the network sizes, and the engine's stage totals do
+// not grow on that hit.
+func TestPrepareTimeCountedOnce(t *testing.T) {
+	e := New(Config{Workers: 1, QueueDepth: 4})
+	ctx := context.Background()
+	defer e.Close(ctx)
+	req := Request{Program: testPrograms[0], Options: RequestOptions{Registers: 3}}
+
+	r1, r2 := req, req
+	miss, err := e.Allocate(ctx, &r1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := miss.Blocks[0]
+	if m.CacheHit || m.Stats.BuildTime <= 0 {
+		t.Fatalf("first request: cache hit %t, build time %v; want a miss reporting its build", m.CacheHit, m.Stats.BuildTime)
+	}
+	before := e.Snapshot()
+	hit, err := e.Allocate(ctx, &r2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := hit.Blocks[0]
+	if !h.CacheHit {
+		t.Fatal("second request missed the template cache")
+	}
+	if st := h.Stats; st.SplitTime != 0 || st.PinTime != 0 || st.BuildTime != 0 {
+		t.Errorf("cache hit replays prepare time: split %v pin %v build %v", st.SplitTime, st.PinTime, st.BuildTime)
+	}
+	if h.Stats.Nodes != m.Stats.Nodes || h.Stats.Arcs != m.Stats.Arcs || h.Stats.Nodes == 0 {
+		t.Errorf("cache hit sizes %d nodes / %d arcs, miss %d / %d", h.Stats.Nodes, h.Stats.Arcs, m.Stats.Nodes, m.Stats.Arcs)
+	}
+	after := e.Snapshot()
+	if after.StageSplitNS != before.StageSplitNS || after.StagePinNS != before.StagePinNS || after.StageBuildNS != before.StageBuildNS {
+		t.Errorf("stage totals grew on a cache hit: split %d→%d pin %d→%d build %d→%d",
+			before.StageSplitNS, after.StageSplitNS, before.StagePinNS, after.StagePinNS, before.StageBuildNS, after.StageBuildNS)
+	}
+}
+
 // blockingHook returns a testHookPreSolve that signals entry and then parks
 // until released, pinning a worker mid-request.
 func blockingHook(entered chan<- struct{}, release <-chan struct{}) func(*Request) {

@@ -3,9 +3,11 @@
 // LRU template cache so repeated program shapes re-solve on the warm
 // incremental path (core.Prepared + flow SolveWithCosts) instead of running
 // the cold pipeline, with an in-process metrics registry (counters, gauges,
-// log-bucketed latency histograms) and graceful drain. Requests that queue
-// up behind a solve can be coalesced into one super-network of disjoint
-// subproblems and solved in a single warm batch pass (Config.BatchMax).
+// log-bucketed latency histograms) and graceful drain. Every request takes
+// one path: a worker dequeues it and solves its blocks one at a time. The
+// only hook into that path is Config.PreSolve, which runs before each
+// block's solve so a benchmark can time a request's way up to its solve and
+// tests can park a worker.
 //
 // The package is transport-free by design: it speaks Request/Response and
 // typed errors, never HTTP. internal/serve/transport maps those to an HTTP
@@ -42,23 +44,14 @@ type Config struct {
 	// MaxProgramBytes bounds the TAC text accepted per request (default
 	// DefaultMaxProgramBytes).
 	MaxProgramBytes int
-	// BatchMax bounds how many queued requests one worker may coalesce into
-	// a single batched solve (default 1: batching off). Values above 1 make
-	// a worker drain up to BatchMax-1 additional waiting requests and solve
-	// all their block subproblems as one merged super-network
-	// (flow.SolveBatchWithCosts); results are identical to solving each
-	// request alone.
-	BatchMax int
-	// BatchCacheEntries caps the LRU of prepared batch super-networks
-	// (default 32 layouts).
-	BatchCacheEntries int
-	// PreSolve, when non-nil, runs on the worker goroutine after a request
-	// has been staged (validated, parsed, scheduled) and before its blocks
-	// are solved. It exists so tests above this package can park a worker
-	// and build queue pressure deterministically — natural coalescing
-	// depends on scheduler timing and never happens on a single-CPU
-	// machine, where channel handoff runs the worker after every enqueue.
-	// Production configs leave it nil.
+	// PreSolve, when non-nil, runs on the worker goroutine before each
+	// block's solve, after the block has been scheduled and its template
+	// resolved. It serves two callers outside this package: allocbench
+	// timestamps it to measure how long a request takes to reach its solve
+	// (engine.presolve_us_p50), and tests park a worker in it to build queue
+	// pressure deterministically — on a single-CPU machine the channel
+	// handoff runs the worker after every enqueue, so a queue never builds
+	// by itself. Production configs leave it nil.
 	PreSolve func(*Request)
 }
 
@@ -78,12 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxProgramBytes <= 0 {
 		c.MaxProgramBytes = DefaultMaxProgramBytes
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 1
-	}
-	if c.BatchCacheEntries <= 0 {
-		c.BatchCacheEntries = 32
 	}
 	return c
 }
@@ -145,7 +132,6 @@ type Engine struct {
 	closed  bool
 
 	cache   *templateCache
-	batches *batchCache
 	metrics *Registry
 
 	// Hot counters, also registered in metrics by name.
@@ -160,14 +146,8 @@ type Engine struct {
 	solveCold   *Counter
 	solveWarm   *Counter
 	solveIncr   *Counter
-	// Batch coalescing: solves serving more than one queued block at once,
-	// the subproblems they carried, and batches that fell back to per-unit
-	// solo solves after a batch-level error.
-	batchSolves    *Counter
-	batchUnitsTot  *Counter
-	batchFallbacks *Counter
-	inflight       *Gauge
-	queueDepth     *Gauge
+	inflight    *Gauge
+	queueDepth  *Gauge
 
 	latency     *Histogram
 	solveLat    *Histogram
@@ -187,7 +167,6 @@ func New(cfg Config) *Engine {
 		cfg:         cfg,
 		queue:       make(chan *job, cfg.QueueDepth),
 		cache:       newTemplateCache(cfg.CacheEntries, m.Counter("cache_evictions_total")),
-		batches:     newBatchCache(cfg.BatchCacheEntries, m.Counter("batch_cache_evictions_total")),
 		metrics:     m,
 		requests:    m.Counter("requests_total"),
 		errors:      m.Counter("errors_total"),
@@ -200,15 +179,10 @@ func New(cfg Config) *Engine {
 		solveCold:   m.Counter("solves_cold_total"),
 		solveWarm:   m.Counter("solves_warm_total"),
 		solveIncr:   m.Counter("solves_incremental_total"),
-
-		batchSolves:    m.Counter("batch_solves_total"),
-		batchUnitsTot:  m.Counter("batch_units_total"),
-		batchFallbacks: m.Counter("batch_fallbacks_total"),
-
-		inflight:   m.Gauge("requests_inflight"),
-		queueDepth: m.Gauge("queue_depth"),
-		latency:    m.Histogram("request_latency"),
-		solveLat:   m.Histogram("solve_latency"),
+		inflight:    m.Gauge("requests_inflight"),
+		queueDepth:  m.Gauge("queue_depth"),
+		latency:     m.Histogram("request_latency"),
+		solveLat:    m.Histogram("solve_latency"),
 		stageTotals: map[string]*Counter{
 			"split":  m.Counter("stage_split_ns_total"),
 			"pin":    m.Counter("stage_pin_ns_total"),
@@ -318,45 +292,14 @@ func (e *Engine) markClosed() {
 	}
 }
 
-// worker drains the queue until Close. With BatchMax > 1 it additionally
-// drains whatever requests queued up behind the first one — without waiting —
-// and runs them as one coalesced batch: queueing delay is converted into
-// solver amortisation exactly when the queue is non-empty.
+// worker drains the queue until Close, running one job at a time.
 //
 //lea:noalloc
 func (e *Engine) worker() {
 	defer e.wg.Done()
-	// Per-worker staging storage, reused across every batch this worker
-	// coalesces: no per-batch slice/map churn on the serving hot path.
-	bs := newBatchStage()                    //lea:allocs per-worker staging allocated once at startup
-	batch := make([]*job, 0, e.cfg.BatchMax) //lea:allocs per-worker staging allocated once at startup
 	for j := range e.queue {
-		batch = append(batch[:0], j)
-		for len(batch) < e.cfg.BatchMax {
-			j2, ok := e.tryDequeue()
-			if !ok {
-				break
-			}
-			batch = append(batch, j2)
-		}
 		e.queueDepth.Set(int64(len(e.queue)))
-		if len(batch) == 1 {
-			e.runJob(j)
-		} else {
-			e.runBatch(batch, bs)
-		}
-	}
-}
-
-// tryDequeue takes one queued job without blocking.
-//
-//lea:noalloc
-func (e *Engine) tryDequeue() (*job, bool) {
-	select {
-	case j, ok := <-e.queue:
-		return j, ok
-	default:
-		return nil, false
+		e.runJob(j)
 	}
 }
 
@@ -527,12 +470,6 @@ type Snapshot struct {
 	SolvesCold        int64 `json:"solves_cold"`
 	SolvesWarm        int64 `json:"solves_warm"`
 	SolvesIncremental int64 `json:"solves_incremental"`
-	// Batch coalescing: solves that served more than one queued block at
-	// once, the subproblem units those solves carried, and batches that fell
-	// back to per-unit solo solves.
-	BatchSolves    int64 `json:"batch_solves"`
-	BatchUnits     int64 `json:"batch_units"`
-	BatchFallbacks int64 `json:"batch_fallbacks"`
 	// Per-stage cumulative pipeline time.
 	StageSplitNS  int64 `json:"stage_split_ns"`
 	StagePinNS    int64 `json:"stage_pin_ns"`
@@ -569,9 +506,6 @@ func (e *Engine) Snapshot() Snapshot {
 		SolvesCold:        e.solveCold.Value(),
 		SolvesWarm:        e.solveWarm.Value(),
 		SolvesIncremental: e.solveIncr.Value(),
-		BatchSolves:       e.batchSolves.Value(),
-		BatchUnits:        e.batchUnitsTot.Value(),
-		BatchFallbacks:    e.batchFallbacks.Value(),
 		StageSplitNS:      e.stageTotals["split"].Value(),
 		StagePinNS:        e.stageTotals["pin"].Value(),
 		StageBuildNS:      e.stageTotals["build"].Value(),

@@ -114,9 +114,6 @@ func (r *Router) Snapshot() Snapshot {
 		m.SolvesCold += sn.SolvesCold
 		m.SolvesWarm += sn.SolvesWarm
 		m.SolvesIncremental += sn.SolvesIncremental
-		m.BatchSolves += sn.BatchSolves
-		m.BatchUnits += sn.BatchUnits
-		m.BatchFallbacks += sn.BatchFallbacks
 		m.StageSplitNS += sn.StageSplitNS
 		m.StagePinNS += sn.StagePinNS
 		m.StageBuildNS += sn.StageBuildNS

@@ -84,8 +84,8 @@ func TestRouteKeyAffinity(t *testing.T) {
 }
 
 // shardCorpus renders a mixed random/hlsbench program corpus with a register
-// sweep, so concurrent load produces both repeated units (dedup) and
-// distinct units (multi-unit merged batches).
+// sweep, so concurrent load produces both repeated requests (warm template
+// hits) and distinct ones.
 func shardCorpus(t *testing.T) []*engine.Request {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
@@ -114,22 +114,21 @@ func shardCorpus(t *testing.T) []*engine.Request {
 	return reqs
 }
 
-// TestShardedBatchedByteIdentical is the serving stack's equivalence proof:
-// a 4-shard router with aggressive batching and one worker per shard serves
-// a concurrent mixed corpus, and every response is identical (energies,
-// assignments, register counts — everything but cache/timing metadata) to
-// the same request solved alone on a fresh engine. Coalescing cannot be left
-// to scheduler timing — on a single-CPU machine the channel handoff runs the
-// worker after every enqueue, so the queue never builds naturally — so the
-// test parks every shard's worker on a marker request via the PreSolve seam,
-// piles the burst into the queues, and releases; the drains must then
-// coalesce multi-unit batches, putting the merged super-network path (not
-// just solo solves) under the equality check.
-func TestShardedBatchedByteIdentical(t *testing.T) {
+// TestShardedByteIdentical is the serving stack's equivalence proof: a
+// 4-shard router with one worker per shard serves a concurrent mixed corpus,
+// and every response is identical (energies, assignments, register counts —
+// everything but cache/timing metadata) to the same request solved alone on
+// a fresh engine. A deep queue cannot be left to scheduler timing — on a
+// single-CPU machine the channel handoff runs the worker after every
+// enqueue, so the queue never builds naturally — so the test parks every
+// shard's worker on a marker request via the PreSolve seam, piles the burst
+// into the queues, and releases; the drains then serve repeated shapes back
+// to back from each shard's warm template cache under the equality check.
+func TestShardedByteIdentical(t *testing.T) {
 	reqs := shardCorpus(t)
 
-	// Reference: each distinct request solved on its own single-worker,
-	// non-batching engine — the sequential path.
+	// Reference: each distinct request solved on its own single-worker
+	// engine — the sequential path.
 	ref := make([]*engine.Response, len(reqs))
 	for i, r := range reqs {
 		e := engine.New(engine.Config{Workers: 1, QueueDepth: 4})
@@ -164,7 +163,7 @@ func TestShardedBatchedByteIdentical(t *testing.T) {
 	router := New(Config{
 		Shards: shards,
 		Engine: engine.Config{
-			Workers: 1, QueueDepth: 64, BatchMax: 8,
+			Workers: 1, QueueDepth: 64,
 			PreSolve: func(req *engine.Request) {
 				if strings.HasPrefix(req.Program, "task park") {
 					entered.Done()
@@ -200,7 +199,7 @@ func TestShardedBatchedByteIdentical(t *testing.T) {
 					return
 				}
 				if got := stripVolatile(resp); !reflect.DeepEqual(got, ref[i]) {
-					errs <- fmt.Errorf("request %d: sharded+batched response differs from sequential solve:\n got %+v\nwant %+v", i, got, ref[i])
+					errs <- fmt.Errorf("request %d: sharded response differs from sequential solve:\n got %+v\nwant %+v", i, got, ref[i])
 				}
 			}(i)
 		}
@@ -214,15 +213,6 @@ func TestShardedBatchedByteIdentical(t *testing.T) {
 	}
 
 	snap := router.Snapshot()
-	if snap.BatchSolves < 1 {
-		t.Fatalf("no coalesced solve observed (batch_solves %d)", snap.BatchSolves)
-	}
-	if snap.BatchUnits <= snap.BatchSolves {
-		t.Errorf("batch_units %d not above batch_solves %d: no multi-unit merged batch", snap.BatchUnits, snap.BatchSolves)
-	}
-	if snap.BatchFallbacks != 0 {
-		t.Errorf("batching fell back %d times", snap.BatchFallbacks)
-	}
 	if want := int64(shards + repeats*len(reqs)); snap.Requests != want {
 		t.Errorf("requests %d, want %d", snap.Requests, want)
 	}
@@ -252,7 +242,7 @@ func cloneRequest(r *engine.Request) *engine.Request {
 }
 
 // stripVolatile zeroes cache and timing/solver metadata (which legitimately
-// differ between cold, warm and batched paths), keeping every decoded
+// differ between cold and warm paths), keeping every decoded
 // allocation field — energies, assignments, register and memory counts — for
 // exact comparison.
 func stripVolatile(resp *engine.Response) *engine.Response {

@@ -170,7 +170,7 @@ func BenchmarkGraphStyles(b *testing.B) {
 }
 
 // BenchmarkSolvers compares the production SSP engine against the
-// cycle-cancelling cross-checker on the same networks.
+// cycle-cancelling and cost-scaling cross-checkers on the same network.
 func BenchmarkSolvers(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	set := workload.MustRandom(rng, workload.RandomParams{
@@ -186,55 +186,27 @@ func BenchmarkSolvers(b *testing.B) {
 		b.Fatal(err)
 	}
 	value := int64(set.MaxDensity() / 2)
-	solve := func(b *testing.B, f func() (*flow.Solution, error)) {
+	// A nil scratch makes every iteration a cold solve.
+	solve := func(b *testing.B, e flow.Engine) {
 		b.ReportAllocs()
+		var sol flow.Solution
+		var st flow.SolveStats
 		for i := 0; i < b.N; i++ {
-			if _, err := f(); err != nil {
+			if err := build.Net.MinCostFlowValueWithCostsInto(e, nil, nil, build.S, build.T, value, &sol, &st); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("ssp", func(b *testing.B) {
-		solve(b, func() (*flow.Solution, error) {
-			return build.Net.MinCostFlowValue(build.S, build.T, value)
-		})
-	})
-	b.Run("ssp_reuse", func(b *testing.B) {
-		sc := flow.NewScratch()
-		solve(b, func() (*flow.Solution, error) {
-			sol, _, err := build.Net.MinCostFlowValueWith(flow.SSP, sc, build.S, build.T, value)
-			return sol, err
-		})
-	})
-	b.Run("cyclecancel", func(b *testing.B) {
-		solve(b, func() (*flow.Solution, error) {
-			build.Net.AddSupply(build.S, value)
-			build.Net.AddSupply(build.T, -value)
-			defer func() {
-				build.Net.AddSupply(build.S, -value)
-				build.Net.AddSupply(build.T, value)
-			}()
-			return build.Net.SolveCycleCancel()
-		})
-	})
-	b.Run("costscaling", func(b *testing.B) {
-		solve(b, func() (*flow.Solution, error) {
-			build.Net.AddSupply(build.S, value)
-			build.Net.AddSupply(build.T, -value)
-			defer func() {
-				build.Net.AddSupply(build.S, -value)
-				build.Net.AddSupply(build.T, value)
-			}()
-			return build.Net.SolveCostScaling()
-		})
-	})
+	b.Run("ssp", func(b *testing.B) { solve(b, flow.SSP) })
+	b.Run("cyclecancel", func(b *testing.B) { solve(b, flow.CycleCancelling) })
+	b.Run("costscaling", func(b *testing.B) { solve(b, flow.CostScaling) })
 }
 
 // BenchmarkSweepWarmStart measures the design-space sweep on the Figure 1
 // workload grid with and without the warm-started template path (S35). The
 // cold variant rebuilds the network for every cell; the warm variant builds
 // each divisor column's topology once and re-solves with swapped cost
-// vectors through flow.Network.SolveWithCosts.
+// vectors on a retained flow.Scratch.
 func BenchmarkSweepWarmStart(b *testing.B) {
 	set := workload.Figure1()
 	opt := sweep.Options{
@@ -259,10 +231,10 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveWithCosts isolates the solver-level warm start: the same
-// network re-solved with a fresh Scratch every time (cold) vs through
-// SolveWithCosts with reused topology and potentials (warm).
-func BenchmarkSolveWithCosts(b *testing.B) {
+// BenchmarkWarmResolve isolates the solver-level warm start: the same
+// network re-solved with a fresh Scratch every time (cold) vs on a retained
+// Scratch that reuses topology and potentials (warm).
+func BenchmarkWarmResolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	set := workload.MustRandom(rng, workload.RandomParams{
 		Vars: 80, Steps: 40, MaxReads: 2, ExternalFrac: 0.1, InputFrac: 0.1,
@@ -277,31 +249,26 @@ func BenchmarkSolveWithCosts(b *testing.B) {
 		b.Fatal(err)
 	}
 	value := int64(set.MaxDensity() / 2)
-	costs := make([]int64, build.Net.M())
-	for i := range costs {
-		_, _, _, _, c := build.Net.Arc(flow.ArcID(i))
-		costs[i] = c
+	var sol flow.Solution
+	var st flow.SolveStats
+	solve := func(b *testing.B, sc *flow.Scratch) {
+		if err := build.Net.MinCostFlowValueWithCostsInto(flow.SSP, nil, sc, build.S, build.T, value, &sol, &st); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sc := flow.NewScratch()
-			if _, _, err := build.Net.MinCostFlowValueWithCosts(flow.SSP, costs, sc, build.S, build.T, value); err != nil {
-				b.Fatal(err)
-			}
+			solve(b, flow.NewScratch())
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		sc := flow.NewScratch()
-		if _, _, err := build.Net.MinCostFlowValueWithCosts(flow.SSP, costs, sc, build.S, build.T, value); err != nil {
-			b.Fatal(err)
-		}
+		solve(b, sc)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := build.Net.MinCostFlowValueWithCosts(flow.SSP, costs, sc, build.S, build.T, value); err != nil {
-				b.Fatal(err)
-			}
+			solve(b, sc)
 		}
 	})
 }

@@ -11,7 +11,7 @@ import (
 // diagnostic's line or the line above consumes it, an unconsumed marker is
 // stale (LEA0502), and diagnostics outside every zone span are ignored.
 func TestMatchDiagnostics(t *testing.T) {
-	spans := []zoneSpan{{name: "Network.SolveWithCostsInto", file: "f.go", start: 10, end: 30}}
+	spans := []zoneSpan{{name: "Network.MinCostFlowValueWithCostsInto", file: "f.go", start: 10, end: 30}}
 	markers := map[string]map[int]*marker{
 		"f.go": {
 			19: {pos: token.Position{Filename: "f.go", Line: 19}, reason: "growth"},
@@ -33,7 +33,7 @@ func TestMatchDiagnostics(t *testing.T) {
 			if f.Pos.Line != 15 {
 				t.Errorf("LEA0501 at line %d, want 15", f.Pos.Line)
 			}
-			if !strings.Contains(f.Msg, "Network.SolveWithCostsInto") {
+			if !strings.Contains(f.Msg, "Network.MinCostFlowValueWithCostsInto") {
 				t.Errorf("LEA0501 message does not name the zone function: %s", f.Msg)
 			}
 		case "LEA0502":

@@ -3,7 +3,7 @@ package escape
 // ZoneFunc names one function of a zone package that must stay
 // allocation-free on its steady-state path. Names are unqualified for
 // package-level functions ("dijkstra") and "Type.Method" for methods, with
-// pointer receivers stripped ("Network.SolveWithCostsInto").
+// pointer receivers stripped ("Network.MinCostFlowValueWithCostsInto").
 type ZoneFunc struct {
 	// Name identifies the function within its package.
 	Name string
@@ -24,19 +24,19 @@ type Zone struct {
 	Funcs []ZoneFunc
 }
 
-// Zones returns the checked-in noalloc zone map: the warm `…Into` solve path
-// in internal/flow (PR 7's zero-alloc contract), the sweep runner's column
+// Zones returns the checked-in noalloc zone map: the one solve path in
+// internal/flow (zero allocations once warm), the sweep runner's column
 // loop, and the serve engine's worker loop. Cold sub-paths
 // inside these functions (error formatting, first-use growth) are declared
 // per line with //lea:allocs markers; everything else must not allocate.
 func Zones() []Zone {
 	return []Zone{
 		{Pkg: "internal/flow", Funcs: []ZoneFunc{
-			// The warm-solve public entry points, AllocsPerRun-asserted.
-			{Name: "Network.SolveWithCostsInto", Root: true},
+			// The one solve entry point, AllocsPerRun-asserted.
 			{Name: "Network.MinCostFlowValueWithCostsInto", Root: true},
-			// The shared warm-solve internals those entry points drive.
+			// The solve internals it drives.
 			{Name: "Network.solveWithCosts"},
+			{Name: "Network.readFlow"},
 			{Name: "Scratch.installCosts"},
 			{Name: "Scratch.preparedFor"},
 			{Name: "Scratch.patchSupplies"},

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -83,42 +82,16 @@ func (p *Pipeline) Options() Options { return p.opts }
 func (p *Pipeline) Engine() string { return p.engine.Name() }
 
 // Allocate runs the staged pipeline — Split → Pin → Build → Solve → Decode —
-// on a lifetime set, attaching per-stage RunStats to the result.
+// on a lifetime set, attaching per-stage RunStats to the result. It is
+// Prepare followed by one prepared solve under the options' own register
+// count and the template's own arc costs, so every stage has exactly one
+// implementation.
 func (p *Pipeline) Allocate(set *lifetime.Set) (*Result, error) {
-	start := time.Now()
-	stats := RunStats{Engine: p.engine.Name()}
-
-	grouped, err := p.split(set, &stats)
+	pre, err := p.Prepare(set)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.debugSplit(set, grouped); err != nil {
-		return nil, err
-	}
-	if err := p.pin(grouped, &stats); err != nil {
-		return nil, err
-	}
-	build, err := p.build(set, grouped, &stats)
-	if err != nil {
-		return nil, err
-	}
-	sol, err := p.solve(build, &stats)
-	if err != nil {
-		return nil, err
-	}
-	if err := debugSolve(p.opts, build, sol, p.opts.Registers); err != nil {
-		return nil, err
-	}
-	res, err := p.decode(build, sol, &stats)
-	if err != nil {
-		return nil, err
-	}
-	stats.TotalTime = time.Since(start)
-	res.Stats = stats
-	if c := statsCollector(); c != nil {
-		c(stats)
-	}
-	return res, nil
+	return pre.allocate(p.opts.Registers, p.opts.Cost, nil, pre.tpl.Build.ConstantEnergy)
 }
 
 // split cuts lifetimes at the restricted memory access times plus any
@@ -179,44 +152,6 @@ func (p *Pipeline) pin(grouped [][]lifetime.Segment, stats *RunStats) error {
 		}
 	}
 	return nil
-}
-
-// build constructs the §5.1/§5.2 flow network.
-func (p *Pipeline) build(set *lifetime.Set, grouped [][]lifetime.Segment, stats *RunStats) (*netbuild.Build, error) {
-	t0 := time.Now()
-	build, err := netbuild.BuildNetwork(set, grouped, p.opts.Style, p.opts.Cost)
-	stats.BuildTime = time.Since(t0)
-	if err != nil {
-		return nil, err
-	}
-	stats.Nodes = build.Net.N()
-	stats.Arcs = build.Net.M()
-	return build, nil
-}
-
-// solve ships the register count R from s to t at minimum cost.
-func (p *Pipeline) solve(build *netbuild.Build, stats *RunStats) (*flow.Solution, error) {
-	t0 := time.Now()
-	sol, sst, err := build.Net.MinCostFlowValueWith(p.engine, p.scratch, build.S, build.T, int64(p.opts.Registers))
-	stats.SolveTime = time.Since(t0)
-	if sst != nil {
-		stats.Solver = *sst
-	}
-	if err != nil {
-		if errors.Is(err, flow.ErrInfeasible) {
-			return nil, fmt.Errorf("core: %d registers cannot satisfy the forced register residences (raise R or relax memory restrictions): %w", p.opts.Registers, err)
-		}
-		return nil, err
-	}
-	return sol, nil
-}
-
-// decode turns the solution into chains, counts, ports and energies.
-func (p *Pipeline) decode(build *netbuild.Build, sol *flow.Solution, stats *RunStats) (*Result, error) {
-	t0 := time.Now()
-	res, err := decode(build, sol, p.opts)
-	stats.DecodeTime = time.Since(t0)
-	return res, err
 }
 
 // defaultEngine is the engine name used when Options.Engine is empty;

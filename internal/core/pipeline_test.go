@@ -53,27 +53,44 @@ func TestUnknownEngineRejected(t *testing.T) {
 }
 
 // TestRunStatsPopulated: a successful allocation reports stage sizes, stage
-// times and solver counters.
+// times and solver counters, and its total time covers its stage sum — for
+// core.Allocate and for the first Result after core.Prepare, the one that
+// carries the preparation's Split/Pin/Build times. Several fresh prepares
+// are checked because one can pass by luck when the total misses those
+// stages.
 func TestRunStatsPopulated(t *testing.T) {
-	r := allocate(t, workload.Figure1(), fig1Opts(2))
-	st := r.Stats
-	if st.Variables != 5 || st.Segments != 5 {
-		t.Errorf("sizes: %d vars, %d segs", st.Variables, st.Segments)
+	results := []*core.Result{allocate(t, workload.Figure1(), fig1Opts(2))}
+	for i := 0; i < 20; i++ {
+		pre, err := core.Prepare(workload.Figure1(), fig1Opts(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := pre.Allocate(2, staticCO())
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, r)
 	}
-	if st.Nodes == 0 || st.Arcs == 0 {
-		t.Errorf("network sizes empty: %+v", st)
-	}
-	if st.TotalTime <= 0 || st.SolveTime <= 0 || st.BuildTime <= 0 {
-		t.Errorf("stage times empty: %+v", st)
-	}
-	if st.TotalTime < st.SplitTime+st.PinTime+st.BuildTime+st.SolveTime+st.DecodeTime {
-		t.Errorf("total %v below stage sum", st.TotalTime)
-	}
-	if st.Solver.Augmentations == 0 {
-		t.Errorf("solver counters empty: %+v", st.Solver)
-	}
-	if s := st.String(); !strings.Contains(s, "solve") || !strings.Contains(s, "nodes") {
-		t.Errorf("stats string %q", s)
+	for i, r := range results {
+		st := r.Stats
+		if st.Variables != 5 || st.Segments != 5 {
+			t.Errorf("run %d sizes: %d vars, %d segs", i, st.Variables, st.Segments)
+		}
+		if st.Nodes == 0 || st.Arcs == 0 {
+			t.Errorf("run %d network sizes empty: %+v", i, st)
+		}
+		if st.TotalTime <= 0 || st.SolveTime <= 0 || st.BuildTime <= 0 {
+			t.Errorf("run %d stage times empty: %+v", i, st)
+		}
+		if sum := st.SplitTime + st.PinTime + st.BuildTime + st.SolveTime + st.DecodeTime; st.TotalTime < sum {
+			t.Errorf("run %d total %v below stage sum %v", i, st.TotalTime, sum)
+		}
+		if st.Solver.Augmentations == 0 {
+			t.Errorf("run %d solver counters empty: %+v", i, st.Solver)
+		}
+		if s := st.String(); !strings.Contains(s, "solve") || !strings.Contains(s, "nodes") {
+			t.Errorf("run %d stats string %q", i, s)
+		}
 	}
 }
 

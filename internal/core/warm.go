@@ -13,16 +13,18 @@ import (
 // Prepared is an allocation problem with the expensive, cost-independent
 // half done once: lifetimes split, pins applied and the flow network built
 // as a netbuild.Template. Allocate then re-solves it for any register count
-// and cost model, swapping cost vectors through the solver's warm-start path
-// (flow.Network.SolveWithCosts) instead of rebuilding — the design-space
-// exploration hot path. A Prepared is not safe for concurrent use; give each
+// and cost model, swapping cost vectors on the solver's retained scratch
+// (flow.Network.MinCostFlowValueWithCostsInto) instead of rebuilding — the
+// design-space exploration hot path. Pipeline.Allocate is Prepare plus one
+// such solve, so the cold allocation and the warm re-solve share one
+// implementation. A Prepared is not safe for concurrent use; give each
 // goroutine its own.
 type Prepared struct {
 	opts      Options
 	engine    flow.Engine
 	scratch   *flow.Scratch
 	tpl       *netbuild.Template
-	baseStats RunStats        // sizes for every run; split/pin/build timings until one run reports them
+	baseStats RunStats        // sizes for every run; prepare timings until one run reports them
 	costs     []int64         // reusable cost-vector buffer
 	sol       flow.Solution   // reusable solve output; aliased by Result.Solution
 	sst       flow.SolveStats // reusable solver stats, copied into Result.Stats
@@ -42,8 +44,10 @@ func Prepare(set *lifetime.Set, opts Options) (*Prepared, error) {
 // Prepare runs the pipeline's Split → Pin → Build stages once and returns
 // the reusable problem. The Prepared shares the pipeline's engine and solver
 // scratch: interleaving Pipeline.Allocate and Prepared.Allocate is legal but
-// forfeits the warm start (each cold solve evicts the prepared residual).
+// forfeits the warm start (each Pipeline.Allocate prepares its own network
+// on the shared scratch, evicting the prepared residual).
 func (p *Pipeline) Prepare(set *lifetime.Set) (*Prepared, error) {
+	start := time.Now()
 	stats := RunStats{Engine: p.engine.Name()}
 	grouped, err := p.split(set, &stats)
 	if err != nil {
@@ -63,6 +67,7 @@ func (p *Pipeline) Prepare(set *lifetime.Set) (*Prepared, error) {
 	}
 	stats.Nodes = tpl.Build.Net.N()
 	stats.Arcs = tpl.Build.Net.M()
+	stats.TotalTime = time.Since(start)
 	return &Prepared{
 		opts:      p.opts,
 		engine:    p.engine,
@@ -100,9 +105,11 @@ func (pre *Prepared) CostView(co netbuild.CostOptions) (*CostView, error) {
 // calls repeating the previous register count additionally reuse the
 // solver's residual and, when still valid, its node potentials
 // (Result.Stats.Solver reports WarmStart / PotentialsReused). The first
-// Result after Prepare carries the one-off SplitTime/PinTime/BuildTime; every
-// later Result reports them as zero, so stage times summed over results count
-// the preparation exactly once.
+// Result after Prepare carries the one-off SplitTime/PinTime/BuildTime, and
+// its TotalTime includes Prepare's wall time; every later Result reports the
+// three as zero and times only its own solve and decode, so stage times
+// summed over results count the preparation exactly once and every Result's
+// TotalTime covers its stage sum.
 //
 // The Result's Solution field aliases the Prepared's reusable solve buffer:
 // it is valid until the next Allocate/AllocateView on this Prepared. Callers
@@ -157,9 +164,9 @@ func (pre *Prepared) allocate(registers int, co netbuild.CostOptions, costs []in
 	if err != nil {
 		return nil, err
 	}
-	stats.TotalTime = time.Since(start)
+	stats.TotalTime += time.Since(start)
 	res.Stats = stats
-	pre.baseStats.SplitTime, pre.baseStats.PinTime, pre.baseStats.BuildTime = 0, 0, 0
+	pre.baseStats.SplitTime, pre.baseStats.PinTime, pre.baseStats.BuildTime, pre.baseStats.TotalTime = 0, 0, 0, 0
 	if c := statsCollector(); c != nil {
 		c(stats)
 	}

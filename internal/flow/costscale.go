@@ -1,15 +1,5 @@
 package flow
 
-// SolveCostScaling computes the minimum-cost b-flow with the Goldberg–Tarjan
-// cost-scaling push-relabel algorithm — the "very efficient algorithms" class
-// the paper's ref. [17] points at for large instances. Results are identical
-// to Solve; the SSP engine remains the default because the paper's networks
-// ship tiny flow values, where successive shortest paths win.
-func (nw *Network) SolveCostScaling() (*Solution, error) {
-	sol, _, err := nw.SolveWith(CostScaling, nil)
-	return sol, err
-}
-
 // costScale solves for a flow of `required` units from s to t on the
 // residual network by reducing to a minimum-cost circulation: a t->s return
 // arc with a strongly negative cost forces the flow value to the maximum

@@ -24,8 +24,8 @@ func TestDIMACSRoundTrip(t *testing.T) {
 		if back.N() != nw.N() || back.M() != nw.M() {
 			return false
 		}
-		a, errA := nw.Solve()
-		b, errB := back.Solve()
+		a, _, errA := bflow(nw, SSP, nil, nil)
+		b, _, errB := bflow(back, SSP, nil, nil)
 		if errA != nil || errB != nil {
 			return errA != nil && errB != nil
 		}
@@ -61,7 +61,7 @@ a 1 3 1 2 -4
 	if lo != 1 {
 		t.Fatalf("lower bound lost: %d", lo)
 	}
-	sol, err := nw.Solve()
+	sol, _, err := bflow(nw, SSP, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,10 @@ import (
 // Engine is a min-cost-flow solution engine. Three implementations exist —
 // successive shortest paths (the production default), cycle cancelling and
 // cost-scaling push-relabel — all certified to return identical objectives.
-// The interface is exported for selection (EngineByName, SolveWith); the
-// solve method works on the package-private residual representation, so
-// external packages choose engines but cannot implement new ones.
+// The interface is exported for selection (EngineByName,
+// MinCostFlowValueWithCostsInto); the solve method works on the
+// package-private residual representation, so external packages choose
+// engines but cannot implement new ones.
 type Engine interface {
 	// Name is the engine's canonical selection name.
 	Name() string
@@ -86,11 +87,11 @@ type SolveStats struct {
 	Relabels int `json:"relabels"`
 	Pushes   int `json:"pushes"`
 	// WarmStart reports that the solve reused a previously prepared residual
-	// topology (SolveWithCosts hit); PotentialsReused additionally reports
-	// that the carried-over node potentials passed the reduced-cost validity
-	// check, skipping potential initialisation entirely. Incremental reports
-	// the strongest reuse: the previous optimal flow stayed in the residual
-	// and only the value delta was augmented.
+	// topology (same network, same scratch); PotentialsReused additionally
+	// reports that the carried-over node potentials passed the reduced-cost
+	// validity check, skipping potential initialisation entirely.
+	// Incremental reports the strongest reuse: the previous optimal flow
+	// stayed in the residual and only the value delta was augmented.
 	WarmStart        bool `json:"warm_start"`
 	PotentialsReused bool `json:"potentials_reused"`
 	Incremental      bool `json:"incremental"`
@@ -137,8 +138,9 @@ type Scratch struct {
 	// Topological-order potential initialisation buffers (dagRelax).
 	indeg []int32
 	order []int32
-	// Warm-start state: a prepared residual topology (SolveWithCosts) and
-	// the flag telling ssp the current potentials were validated for reuse.
+	// Warm-start state: the prepared residual topology of the last network
+	// solved and the flag telling ssp the current potentials were validated
+	// for reuse.
 	prep   prepared
 	warmPi bool
 	// Incremental re-solve state: solved marks the residual as holding an
@@ -150,8 +152,8 @@ type Scratch struct {
 }
 
 // prepared snapshots the residual topology built for one network's supply
-// configuration, so SolveWithCosts can re-solve with new costs without
-// rebuilding. Invalidated by any cold solve on the same scratch.
+// configuration, so later solves of that network can swap costs without
+// rebuilding. Replaced when the scratch prepares another network.
 type prepared struct {
 	valid    bool
 	net      *Network // identity of the prepared network
@@ -259,24 +261,6 @@ func grow32(buf []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return buf[:n]
-}
-
-// SolveWith computes the minimum-cost feasible b-flow like Solve, with an
-// explicit engine and optional reusable scratch space (nil allocates fresh
-// storage). It additionally returns the solve's work statistics; on error
-// the stats still describe the attempted solve.
-func (nw *Network) SolveWith(e Engine, sc *Scratch) (*Solution, *SolveStats, error) {
-	if e == nil {
-		e = SSP
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	st := &SolveStats{Engine: e.Name()}
-	start := time.Now()
-	sol, err := nw.solveWith(e, sc, st)
-	st.Duration = time.Since(start)
-	return sol, st, err
 }
 
 type sspSolver struct{}

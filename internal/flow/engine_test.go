@@ -56,9 +56,9 @@ func TestEnginesAgreeThroughInterface(t *testing.T) {
 		nw, s, tt, value := randomInstance(rng)
 		nw.AddSupply(s, value)
 		nw.AddSupply(tt, -value)
-		ref, _, errRef := nw.SolveWith(SSP, nil)
+		ref, _, errRef := bflow(nw, SSP, nil, nil)
 		for _, e := range engines()[1:] {
-			sol, _, err := nw.SolveWith(e, nil)
+			sol, _, err := bflow(nw, e, nil, nil)
 			if errRef != nil || err != nil {
 				if !errors.Is(errRef, ErrInfeasible) || !errors.Is(err, ErrInfeasible) {
 					return false
@@ -78,7 +78,8 @@ func TestEnginesAgreeThroughInterface(t *testing.T) {
 
 // TestScratchReuseBitIdentical: solving with a reused Scratch must produce a
 // Solution bit-identical to a fresh solver — same objective and the same flow
-// on every arc — across random instances and all three engines. This is the
+// on every arc — across random instances and all three engines — and each new
+// network must re-prepare rather than claim a warm start. This is the
 // contract that lets the pipeline keep one Scratch across many blocks.
 func TestScratchReuseBitIdentical(t *testing.T) {
 	for _, e := range engines() {
@@ -88,10 +89,13 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			for i := 0; i < 200; i++ {
 				nw, s, tt, value := randomInstance(rng)
-				fresh, _, errF := nw.MinCostFlowValueWith(e, nil, s, tt, value)
-				reused, _, errR := nw.MinCostFlowValueWith(e, sc, s, tt, value)
+				fresh, _, errF := solveValue(nw, e, nil, nil, s, tt, value)
+				reused, st, errR := solveValue(nw, e, nil, sc, s, tt, value)
 				if (errF == nil) != (errR == nil) {
 					t.Fatalf("instance %d: fresh err %v, reused err %v", i, errF, errR)
+				}
+				if st.WarmStart {
+					t.Fatalf("instance %d: a new network on a shared scratch claimed a warm start", i)
 				}
 				if errF != nil {
 					if !errors.Is(errF, ErrInfeasible) || !errors.Is(errR, ErrInfeasible) {
@@ -129,7 +133,7 @@ func TestSolveStatsPopulated(t *testing.T) {
 		return nw
 	}
 	for _, e := range engines() {
-		sol, st, err := build().SolveWith(e, NewScratch())
+		sol, st, err := bflow(build(), e, nil, NewScratch())
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -162,14 +166,14 @@ func TestSolveStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestSolveWithDefaults: nil engine and nil scratch select SSP and a private
-// scratch.
+// TestSolveWithDefaults: nil engine, nil costs and nil scratch select SSP,
+// the network's own arc costs and a private scratch.
 func TestSolveWithDefaults(t *testing.T) {
 	nw := NewNetwork(2)
 	nw.MustArc(0, 1, 0, 5, 2)
 	nw.AddSupply(0, 4)
 	nw.AddSupply(1, -4)
-	sol, st, err := nw.SolveWith(nil, nil)
+	sol, st, err := bflow(nw, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +183,13 @@ func TestSolveWithDefaults(t *testing.T) {
 }
 
 // TestSolveWithLowerBounds drives the lower-bound reduction through every
-// engine via the unified entry point.
+// engine via the one solve path.
 func TestSolveWithLowerBounds(t *testing.T) {
 	for _, e := range engines() {
 		nw := NewNetwork(2)
 		free := nw.MustArc(0, 1, 0, 10, 0)
 		forced := nw.MustArc(0, 1, 2, 10, 100)
-		sol, _, err := nw.MinCostFlowValueWith(e, NewScratch(), 0, 1, 5)
+		sol, _, err := solveValue(nw, e, nil, NewScratch(), 0, 1, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}

@@ -17,6 +17,20 @@ func mustArc(t *testing.T, nw *Network, from, to int, lower, cap, cost int64) Ar
 	return id
 }
 
+// solveValue drives the one solve path with fresh result storage: value
+// units from s to t on top of the supplies, under costs (nil: the network's
+// own) on scratch sc (nil: a cold solve).
+func solveValue(nw *Network, e Engine, costs []int64, sc *Scratch, s, t int, value int64) (*Solution, *SolveStats, error) {
+	sol, st := &Solution{}, &SolveStats{}
+	err := nw.MinCostFlowValueWithCostsInto(e, costs, sc, s, t, value, sol, st)
+	return sol, st, err
+}
+
+// bflow solves the plain b-flow of the network's supplies (value 0).
+func bflow(nw *Network, e Engine, costs []int64, sc *Scratch) (*Solution, *SolveStats, error) {
+	return solveValue(nw, e, costs, sc, 0, 0, 0)
+}
+
 func TestSimplePath(t *testing.T) {
 	nw := NewNetwork(3)
 	a := mustArc(t, nw, 0, 1, 0, 5, 2)
@@ -130,7 +144,7 @@ func TestSupplyMismatchRejected(t *testing.T) {
 	nw := NewNetwork(2)
 	mustArc(t, nw, 0, 1, 0, 3, 1)
 	nw.SetSupply(0, 2)
-	if _, err := nw.Solve(); err == nil {
+	if _, _, err := bflow(nw, SSP, nil, nil); err == nil {
 		t.Fatal("unbalanced supplies accepted")
 	}
 }
@@ -171,7 +185,7 @@ func TestSupplies(t *testing.T) {
 	nw.SetSupply(0, 3)
 	nw.SetSupply(1, 2)
 	nw.SetSupply(3, -5)
-	sol, err := nw.Solve()
+	sol, _, err := bflow(nw, SSP, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +270,8 @@ func TestSSPMatchesCycleCancelling(t *testing.T) {
 		nw, s, tt, value := randomInstance(rng)
 		nw.AddSupply(s, value)
 		nw.AddSupply(tt, -value)
-		a, errA := nw.Solve()
-		b, errB := nw.SolveCycleCancel()
+		a, _, errA := bflow(nw, SSP, nil, nil)
+		b, _, errB := bflow(nw, CycleCancelling, nil, nil)
 		if errA != nil || errB != nil {
 			return errors.Is(errA, ErrInfeasible) && errors.Is(errB, ErrInfeasible)
 		}
@@ -279,8 +293,8 @@ func TestSSPMatchesCostScaling(t *testing.T) {
 		nw, s, tt, value := randomInstance(rng)
 		nw.AddSupply(s, value)
 		nw.AddSupply(tt, -value)
-		a, errA := nw.Solve()
-		b, errB := nw.SolveCostScaling()
+		a, _, errA := bflow(nw, SSP, nil, nil)
+		b, _, errB := bflow(nw, CostScaling, nil, nil)
 		if errA != nil || errB != nil {
 			return errors.Is(errA, ErrInfeasible) && errors.Is(errB, ErrInfeasible)
 		}
@@ -302,7 +316,7 @@ func TestCostScalingLowerBounds(t *testing.T) {
 	forced := nw.MustArc(0, 1, 2, 10, 100)
 	nw.AddSupply(0, 5)
 	nw.AddSupply(1, -5)
-	sol, err := nw.SolveCostScaling()
+	sol, _, err := bflow(nw, CostScaling, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +331,7 @@ func TestCostScalingLowerBounds(t *testing.T) {
 func TestCostScalingZeroFlow(t *testing.T) {
 	nw := NewNetwork(2)
 	nw.MustArc(0, 1, 0, 3, -5)
-	sol, err := nw.SolveCostScaling()
+	sol, _, err := bflow(nw, CostScaling, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +632,7 @@ func TestFeasibleFlowAgreesWithSolve(t *testing.T) {
 		nw.SetSupply(s, value)
 		nw.SetSupply(tt, -value)
 		_, errA := nw.FeasibleFlow()
-		_, errB := nw.Solve()
+		_, _, errB := bflow(nw, SSP, nil, nil)
 		return (errA == nil) == (errB == nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {

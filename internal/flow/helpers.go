@@ -2,44 +2,6 @@ package flow
 
 import "fmt"
 
-// MinCostFlowValue solves for a minimum-cost flow of exactly value units from
-// s to t, on top of any supplies and lower bounds already present. The
-// network's supplies are restored before returning.
-func (nw *Network) MinCostFlowValue(s, t int, value int64) (*Solution, error) {
-	if s < 0 || s >= nw.n || t < 0 || t >= nw.n {
-		return nil, fmt.Errorf("flow: endpoint out of range")
-	}
-	if value < 0 {
-		return nil, fmt.Errorf("flow: negative flow value %d", value)
-	}
-	nw.supply[s] += value
-	nw.supply[t] -= value
-	defer func() {
-		nw.supply[s] -= value
-		nw.supply[t] += value
-	}()
-	return nw.Solve()
-}
-
-// MinCostFlowValueWith is MinCostFlowValue with an explicit engine and
-// optional reusable scratch space (nil allocates fresh storage), returning
-// the solve's work statistics alongside the solution.
-func (nw *Network) MinCostFlowValueWith(e Engine, sc *Scratch, s, t int, value int64) (*Solution, *SolveStats, error) {
-	if s < 0 || s >= nw.n || t < 0 || t >= nw.n {
-		return nil, nil, fmt.Errorf("flow: endpoint out of range")
-	}
-	if value < 0 {
-		return nil, nil, fmt.Errorf("flow: negative flow value %d", value)
-	}
-	nw.supply[s] += value
-	nw.supply[t] -= value
-	defer func() {
-		nw.supply[s] -= value
-		nw.supply[t] += value
-	}()
-	return nw.SolveWith(e, sc)
-}
-
 // CheckFeasible verifies that sol satisfies conservation, bounds and the
 // network's supplies; it returns a descriptive error on the first violation.
 // Used by tests and as a post-solve assertion in debug paths.
@@ -72,47 +34,19 @@ func (nw *Network) CheckFeasible(sol *Solution) error {
 }
 
 // FeasibleFlow computes any flow satisfying the network's lower bounds and
-// supplies, ignoring costs (the classic feasibility transformation solved
-// with Dinic). It returns ErrInfeasible when none exists. Use Solve for the
-// minimum-cost flow; this is the cheap feasibility probe.
+// supplies, ignoring costs: Dinic on the residual that prepare reduces the
+// network to, the cheap feasibility probe beside MinCostFlowValue's optimum.
+// It returns ErrInfeasible when no such flow exists.
 func (nw *Network) FeasibleFlow() (*Solution, error) {
-	var total int64
-	for _, b := range nw.supply {
-		total += b
+	sc := NewScratch()
+	if err := sc.prepare(nw); err != nil {
+		return nil, err
 	}
-	if total != 0 {
-		return nil, fmt.Errorf("flow: supplies sum to %d, want 0", total)
-	}
-	b := make([]int64, nw.n)
-	copy(b, nw.supply)
-	r := newResidual(nw.n, len(nw.from)+nw.n)
-	for i := range nw.from {
-		if nw.lower[i] > 0 {
-			b[nw.from[i]] -= nw.lower[i]
-			b[nw.to[i]] += nw.lower[i]
-		}
-		r.addPair(int(nw.from[i]), int(nw.to[i]), nw.capU[i]-nw.lower[i], 0)
-	}
-	s := r.addNode()
-	t := r.addNode()
-	var required int64
-	for v := 0; v < nw.n; v++ {
-		switch {
-		case b[v] > 0:
-			r.addPair(s, v, b[v], 0)
-			required += b[v]
-		case b[v] < 0:
-			r.addPair(v, t, -b[v], 0)
-		}
-	}
-	if dinic(r, s, t, required) < required {
+	p := &sc.prep
+	if dinic(&sc.r, p.s, p.t, p.required) < p.required {
 		return nil, ErrInfeasible
 	}
 	sol := &Solution{FlowByArc: make([]int64, len(nw.from))}
-	for i := range nw.from {
-		f := nw.lower[i] + r.flowOn(2*i)
-		sol.FlowByArc[i] = f
-		sol.Cost += f * nw.cost[i]
-	}
+	nw.readFlow(&sc.r, nw.cost, sol)
 	return sol, nil
 }

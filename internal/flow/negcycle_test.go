@@ -33,7 +33,7 @@ func TestNegativeCycleScratchReuse(t *testing.T) {
 	nw.SetSupply(1, -1)
 
 	var sc Scratch
-	if _, _, err := nw.SolveWith(SSP, &sc); !errors.Is(err, ErrNegativeCycle) {
+	if _, _, err := bflow(nw, SSP, nil, &sc); !errors.Is(err, ErrNegativeCycle) {
 		t.Fatalf("err=%v, want ErrNegativeCycle", err)
 	}
 
@@ -43,7 +43,7 @@ func TestNegativeCycleScratchReuse(t *testing.T) {
 	ok.MustArc(0, 1, 0, 3, 2)
 	ok.SetSupply(0, 3)
 	ok.SetSupply(1, -3)
-	sol, _, err := ok.SolveWith(SSP, &sc)
+	sol, _, err := bflow(ok, SSP, nil, &sc)
 	if err != nil {
 		t.Fatal(err)
 	}

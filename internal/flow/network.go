@@ -3,9 +3,14 @@
 //
 //   - a Network builder with arc lower bounds, capacities, integer costs and
 //     node imbalances (b-flows);
-//   - a successive-shortest-path solver with node potentials (polynomial
-//     time, the primary engine);
-//   - an independent cycle-cancelling solver used to cross-check optimality;
+//   - one solve path, MinCostFlowValueWithCostsInto, with MinCostFlowValue
+//     as its allocating form: the lower-bound reduction and super
+//     source/sink are built once per network on a Scratch, and a retained
+//     Scratch turns re-solves under new costs or flow values into warm,
+//     allocation-free ones;
+//   - three engines behind that path: successive shortest paths with node
+//     potentials (polynomial time, the primary engine), and cycle
+//     cancelling and cost-scaling push-relabel as independent cross-checks;
 //   - a Dinic maximum-flow solver used as a substrate and for feasibility.
 //
 // Costs are int64 fixed-point values: callers quantise their (float) energy
@@ -121,7 +126,7 @@ func (nw *Network) MustArc(from, to int, lower, capacity, cost int64) ArcID {
 }
 
 // SetSupply sets node v's imbalance: positive for supply, negative for
-// demand. The sum of all supplies must be zero at Solve time.
+// demand. The sum of all supplies must be zero when the network is solved.
 func (nw *Network) SetSupply(v int, b int64) {
 	if v < 0 || v >= nw.n {
 		//lealint:ignore LEA0201 index precondition, mirrors slice-bounds semantics
@@ -161,9 +166,6 @@ type Solution struct {
 	FlowByArc []int64
 	// Cost is the total cost sum(flow * cost) over all arcs.
 	Cost int64
-	// Augmentations counts shortest-path augmentations (SSP) or cancelled
-	// cycles (cycle cancelling); exposed for benchmarks.
-	Augmentations int
 }
 
 // Flow returns the flow on arc id.

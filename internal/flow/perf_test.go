@@ -20,20 +20,21 @@ func buildWarmInstance(rng *rand.Rand) (*Network, []int64, []int64) {
 	return nw, costsA, costsB
 }
 
-// TestWarmSolveZeroAlloc: after the first (preparing) solve, re-solves
-// through SolveWithCostsInto must not allocate — with unchanged costs
-// (delta-zero path) and with alternating cost vectors (full Dijkstra rounds).
+// TestWarmSolveZeroAlloc: after the first (preparing) solve, b-flow
+// re-solves through MinCostFlowValueWithCostsInto must not allocate — with
+// unchanged costs (delta-zero path) and with alternating cost vectors (full
+// Dijkstra rounds).
 func TestWarmSolveZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	nw, costsA, costsB := buildWarmInstance(rng)
 	sc := NewScratchSized(nw.N(), nw.M())
 	var sol Solution
 	var st SolveStats
-	if err := nw.SolveWithCostsInto(SSP, costsA, sc, &sol, &st); err != nil {
+	if err := nw.MinCostFlowValueWithCostsInto(SSP, costsA, sc, 0, 0, 0, &sol, &st); err != nil {
 		t.Fatal(err)
 	}
 	// Exercise both cost views once so every buffer reaches final size.
-	if err := nw.SolveWithCostsInto(SSP, costsB, sc, &sol, &st); err != nil {
+	if err := nw.MinCostFlowValueWithCostsInto(SSP, costsB, sc, 0, 0, 0, &sol, &st); err != nil {
 		t.Fatal(err)
 	}
 	flip := false
@@ -43,12 +44,12 @@ func TestWarmSolveZeroAlloc(t *testing.T) {
 			costs = costsB
 		}
 		flip = !flip
-		if err := nw.SolveWithCostsInto(SSP, costs, sc, &sol, &st); err != nil {
+		if err := nw.MinCostFlowValueWithCostsInto(SSP, costs, sc, 0, 0, 0, &sol, &st); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm SolveWithCostsInto allocates %.1f/op, want 0", allocs)
+		t.Errorf("warm b-flow MinCostFlowValueWithCostsInto allocates %.1f/op, want 0", allocs)
 	}
 }
 

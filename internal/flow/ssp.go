@@ -1,85 +1,6 @@
 package flow
 
-import (
-	"fmt"
-)
-
 const infCost = int64(1) << 60
-
-// Solve computes a minimum-cost feasible b-flow honouring arc lower bounds,
-// capacities and node supplies, using successive shortest paths with node
-// potentials. It returns ErrInfeasible when no feasible flow exists.
-func (nw *Network) Solve() (*Solution, error) {
-	sol, _, err := nw.SolveWith(SSP, nil)
-	return sol, err
-}
-
-// SolveCycleCancel computes the same minimum-cost b-flow with the
-// cycle-cancelling algorithm. It exists to cross-check Solve in tests; use
-// Solve in production code.
-func (nw *Network) SolveCycleCancel() (*Solution, error) {
-	sol, _, err := nw.SolveWith(CycleCancelling, nil)
-	return sol, err
-}
-
-// solveWith runs the shared reduction (lower bounds, super source/sink) on
-// the scratch's residual, dispatches to the engine and decodes the flows.
-func (nw *Network) solveWith(e Engine, sc *Scratch, st *SolveStats) (*Solution, error) {
-	var total int64
-	for _, b := range nw.supply {
-		total += b
-	}
-	if total != 0 {
-		return nil, fmt.Errorf("flow: supplies sum to %d, want 0", total)
-	}
-
-	// Lower-bound reduction: ship each arc's lower bound unconditionally,
-	// adjusting node imbalances. The lower bounds' constant cost needs no
-	// separate accumulator: the decode below prices each arc's full flow
-	// (lower bound included), which folds it in exactly.
-	sc.b = grow64(sc.b, nw.n)
-	b := sc.b
-	copy(b, nw.supply)
-	r := sc.resetResidual(nw.n, len(nw.from)+nw.n)
-	for i := range nw.from {
-		if nw.lower[i] > 0 {
-			b[nw.from[i]] -= nw.lower[i]
-			b[nw.to[i]] += nw.lower[i]
-		}
-		r.addPair(int(nw.from[i]), int(nw.to[i]), nw.capU[i]-nw.lower[i], nw.cost[i])
-	}
-
-	// Super source/sink absorb the imbalances.
-	s := r.addNode()
-	t := r.addNode()
-	var required int64
-	for v := 0; v < nw.n; v++ {
-		switch {
-		case b[v] > 0:
-			r.addPair(s, v, b[v], 0)
-			required += b[v]
-		case b[v] < 0:
-			r.addPair(v, t, -b[v], 0)
-		}
-	}
-
-	pushed, err := e.run(sc, s, t, required, st)
-	if err != nil {
-		return nil, err
-	}
-	if pushed < required {
-		return nil, ErrInfeasible
-	}
-
-	sol := &Solution{FlowByArc: make([]int64, len(nw.from))}
-	for i := range nw.from {
-		f := nw.lower[i] + r.flowOn(2*i)
-		sol.FlowByArc[i] = f
-		sol.Cost += f * nw.cost[i]
-	}
-	sol.Augmentations = st.Augmentations
-	return sol, nil
-}
 
 // ssp runs successive shortest paths from s to t until `required` units are
 // shipped or t becomes unreachable. Returns the amount shipped.
@@ -90,7 +11,7 @@ func ssp(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, error) {
 	r.ensureCSR()
 	var pi []int64
 	if sc.warmPi {
-		// SolveWithCosts verified the carried-over potentials keep reduced
+		// solveWithCosts verified the carried-over potentials keep reduced
 		// costs non-negative on the current residual; skip initialisation.
 		pi = sc.pi[:r.n]
 		st.PotentialsReused = true

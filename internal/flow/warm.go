@@ -5,82 +5,62 @@ import (
 	"time"
 )
 
-// SolveWithCosts computes the minimum-cost feasible b-flow like SolveWith,
-// but with arc costs taken from the costs vector (one entry per arc, in
-// ArcID order) instead of the costs recorded at AddArc time. Its purpose is
-// incremental re-solving: the first call on a scratch prepares the residual
-// topology (lower-bound reduction, super source/sink, CSR index) and every
-// subsequent call with the same network, supplies and scratch reuses it,
-// only swapping the cost vector and resetting capacities — O(V+E) per
-// re-solve instead of a full rebuild. Node potentials from the previous
-// solve are carried over whenever they keep all reduced costs non-negative
-// under the new costs, letting the SSP engine skip potential initialisation
-// entirely (SolveStats.PotentialsReused).
+// MinCostFlowValue computes a minimum-cost flow of exactly value units from
+// s to t on top of any supplies and lower bounds already present — value 0
+// solves the plain b-flow of the supplies — with the SSP engine, the
+// network's own arc costs and fresh solver storage. The network's supplies
+// are restored before returning. It is the allocating form of
+// MinCostFlowValueWithCostsInto.
+func (nw *Network) MinCostFlowValue(s, t int, value int64) (*Solution, error) {
+	sol := &Solution{}
+	if err := nw.MinCostFlowValueWithCostsInto(nil, nil, nil, s, t, value, sol, &SolveStats{}); err != nil {
+		return nil, err
+	}
+	return sol, nil
+}
+
+// MinCostFlowValueWithCostsInto is the package's one solve path. It computes
+// a minimum-cost feasible flow of exactly value units from s to t on top of
+// any supplies and lower bounds already present (value 0: the plain b-flow
+// of the supplies) and writes the flows and the solve's work statistics into
+// caller-owned sol and st. The network's supplies are restored before
+// returning; on error st still describes the attempted solve.
 //
-// Any cold solve on the same scratch invalidates the prepared topology; the
-// next SolveWithCosts transparently re-prepares. A nil engine selects SSP,
-// a nil scratch allocates fresh storage (legal but pointless — warm starts
-// need a retained scratch). Callers on the hot path should prefer
-// SolveWithCostsInto, which reuses caller-owned result storage and performs
-// zero allocations on warm re-solves.
-func (nw *Network) SolveWithCosts(e Engine, costs []int64, sc *Scratch) (*Solution, *SolveStats, error) {
-	sol, st := &Solution{}, &SolveStats{}
-	if err := nw.SolveWithCostsInto(e, costs, sc, sol, st); err != nil {
-		return nil, st, err
-	}
-	return sol, st, nil
-}
-
-// SolveWithCostsInto is SolveWithCosts writing the solution and stats into
-// caller-owned storage instead of allocating them: sol's flow slice is
-// reused (grown only when too small) and st is overwritten wholesale. On the
-// warm path — prepared topology hit — the entire solve performs zero heap
-// allocations.
+// A nil engine selects SSP. A nil cost vector solves under the costs
+// recorded at AddArc time; otherwise costs holds one entry per arc, in ArcID
+// order. A nil scratch allocates fresh storage: a cold solve.
 //
-//lea:noalloc
-func (nw *Network) SolveWithCostsInto(e Engine, costs []int64, sc *Scratch, sol *Solution, st *SolveStats) error {
-	if e == nil {
-		e = SSP
-	}
-	if sc == nil {
-		sc = NewScratch() //lea:allocs nil-scratch fallback; warm callers pass a reused Scratch
-	}
-	resetStats(st, e.Name())
-	start := time.Now()
-	err := nw.solveWithCosts(e, costs, sc, sol, st)
-	st.Duration = time.Since(start)
-	return err
-}
-
-// resetStats rewinds st to a fresh solve record for the named engine.
-func resetStats(st *SolveStats, engine string) {
-	*st = SolveStats{Engine: engine}
-}
-
-// MinCostFlowValueWithCosts is SolveWithCosts for a flow of exactly value
-// units from s to t on top of any supplies and lower bounds already present;
-// the network's supplies are restored before returning. Re-solves with the
-// same value warm-start outright; a changed value patches the two super-arc
-// capacities in the prepared snapshot (patchSupplies) and still counts as a
-// warm start — only a sign flip in a node's imbalance forces a re-prepare.
-func (nw *Network) MinCostFlowValueWithCosts(e Engine, costs []int64, sc *Scratch, s, t int, value int64) (*Solution, *SolveStats, error) {
-	sol, st := &Solution{}, &SolveStats{}
-	if err := nw.MinCostFlowValueWithCostsInto(e, costs, sc, s, t, value, sol, st); err != nil {
-		return nil, st, err
-	}
-	return sol, st, nil
-}
-
-// MinCostFlowValueWithCostsInto is MinCostFlowValueWithCosts writing into
-// caller-owned sol and st, the zero-allocation warm path for value solves.
+// A retained scratch makes re-solves warm. The first solve of a network on
+// a scratch prepares its residual topology (lower-bound reduction, super
+// source/sink, CSR index); later solves of the same network reuse it, only
+// swapping the cost vector and resetting capacities — O(V+E) instead of a
+// rebuild (SolveStats.WarmStart). A changed value patches the two super-arc
+// capacities in the snapshot and stays warm; only a sign flip in a node's
+// imbalance, or a solve of another network on the scratch, forces a
+// re-prepare. Node potentials carry over whenever they keep every reduced
+// cost non-negative under the new costs (SolveStats.PotentialsReused), and
+// an SSP re-solve under unchanged costs that keeps or grows the value
+// augments only the delta on the retained optimal flow
+// (SolveStats.Incremental). sol's flow slice is reused, grown only when too
+// small, so a warm re-solve performs zero heap allocations.
 //
 //lea:noalloc
 func (nw *Network) MinCostFlowValueWithCostsInto(e Engine, costs []int64, sc *Scratch, s, t int, value int64, sol *Solution, st *SolveStats) error {
+	if e == nil {
+		e = SSP
+	}
+	*st = SolveStats{Engine: e.Name()}
 	if s < 0 || s >= nw.n || t < 0 || t >= nw.n {
 		return fmt.Errorf("flow: endpoint out of range")
 	}
 	if value < 0 {
 		return fmt.Errorf("flow: negative flow value %d", value) //lea:allocs error path: negative-value formatting only
+	}
+	if costs == nil {
+		costs = nw.cost
+	}
+	if sc == nil {
+		sc = NewScratch() //lea:allocs nil-scratch fallback; warm callers pass a reused Scratch
 	}
 	nw.supply[s] += value
 	nw.supply[t] -= value
@@ -88,7 +68,10 @@ func (nw *Network) MinCostFlowValueWithCostsInto(e Engine, costs []int64, sc *Sc
 		nw.supply[s] -= value
 		nw.supply[t] += value
 	}()
-	return nw.SolveWithCostsInto(e, costs, sc, sol, st)
+	start := time.Now()
+	err := nw.solveWithCosts(e, costs, sc, sol, st)
+	st.Duration = time.Since(start)
+	return err
 }
 
 //lea:noalloc
@@ -165,14 +148,22 @@ func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, sol *Sol
 	}
 
 	sol.FlowByArc = grow64(sol.FlowByArc, len(nw.from)) //lea:allocs solution slice growth on first solve of a larger network
+	nw.readFlow(r, costs, sol)
+	return nil
+}
+
+// readFlow decodes the residual's flow into sol, whose FlowByArc the caller
+// has sized to the arc count: each arc's lower bound plus the flow its
+// forward residual copy carries, priced under costs.
+//
+//lea:noalloc
+func (nw *Network) readFlow(r *residual, costs []int64, sol *Solution) {
 	sol.Cost = 0
 	for i := range nw.from {
 		f := nw.lower[i] + r.flowOn(2*i)
 		sol.FlowByArc[i] = f
 		sol.Cost += f * costs[i]
 	}
-	sol.Augmentations = st.Augmentations
-	return nil
 }
 
 // installCosts writes the per-arc cost vector onto the forward/reverse
@@ -206,8 +197,11 @@ func (sc *Scratch) preparedFor(nw *Network) bool {
 }
 
 // prepare builds the residual topology for the network's current supplies
-// (costs zeroed; SolveWithCosts installs them per solve) and snapshots the
-// zero-flow capacities so re-solves can reset in one copy.
+// (costs zeroed; each solve installs its own) and snapshots the zero-flow
+// capacities so re-solves can reset in one copy. It is the package's one
+// lower-bound reduction: arc lower bounds shift into node imbalances, which
+// super source/sink arcs then absorb. The lower bounds' constant cost needs
+// no accumulator, because readFlow prices each arc's full flow.
 func (sc *Scratch) prepare(nw *Network) error {
 	var total int64
 	for _, b := range nw.supply {

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// arcCosts extracts the network's built-in costs as a vector, the identity
-// input for SolveWithCosts.
+// arcCosts extracts the network's built-in costs as a vector: an explicit
+// cost vector equal to the nil (own-costs) default.
 func arcCosts(nw *Network) []int64 {
 	costs := make([]int64, nw.M())
 	for i := range costs {
@@ -17,9 +17,10 @@ func arcCosts(nw *Network) []int64 {
 	return costs
 }
 
-// TestSolveWithCostsMatchesCold: with the identity cost vector the warm path
-// must agree with the cold path — same objective, feasible flows — and the
-// second solve on the same scratch must actually take the warm path.
+// TestSolveWithCostsMatchesCold: with the identity cost vector a retained
+// scratch must agree with a fresh-scratch solve under the network's own
+// costs — same objective, feasible flows — and the second solve on the same
+// scratch must actually take the warm path.
 func TestSolveWithCostsMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sc := NewScratch()
@@ -29,9 +30,9 @@ func TestSolveWithCostsMatchesCold(t *testing.T) {
 		nw.AddSupply(s, value)
 		nw.AddSupply(tt, -value)
 		costs := arcCosts(nw)
-		cold, _, errC := nw.SolveWith(SSP, nil)
+		cold, _, errC := bflow(nw, SSP, nil, nil)
 		for round := 0; round < 2; round++ {
-			warm, st, errW := nw.SolveWithCosts(SSP, costs, sc)
+			warm, st, errW := bflow(nw, SSP, costs, sc)
 			if (errC == nil) != (errW == nil) {
 				t.Fatalf("instance %d round %d: cold err %v, warm err %v", i, round, errC, errW)
 			}
@@ -77,18 +78,18 @@ func TestWarmStartPropertyAllEngines(t *testing.T) {
 		nw.AddSupply(tt, -value)
 		costs := arcCosts(nw)
 
-		cold, _, errCold := nw.SolveWith(SSP, nil)
-		cc, _, errCC := nw.SolveWith(CycleCancelling, nil)
+		cold, _, errCold := bflow(nw, SSP, nil, nil)
+		cc, _, errCC := bflow(nw, CycleCancelling, nil, nil)
 
 		// Perturb every cost, solve, then restore and re-solve warm.
 		perturbed := make([]int64, len(costs))
 		for a := range perturbed {
 			perturbed[a] = costs[a] + int64(rng.Intn(9)-4)
 		}
-		if _, _, err := nw.SolveWithCosts(SSP, perturbed, sc); err != nil && !errors.Is(err, ErrInfeasible) {
+		if _, _, err := bflow(nw, SSP, perturbed, sc); err != nil && !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("instance %d: perturbed solve: %v", i, err)
 		}
-		warm, wst, errWarm := nw.SolveWithCosts(SSP, costs, sc)
+		warm, wst, errWarm := bflow(nw, SSP, costs, sc)
 
 		if errCold != nil || errCC != nil || errWarm != nil {
 			if !errors.Is(errCold, ErrInfeasible) || !errors.Is(errCC, ErrInfeasible) || !errors.Is(errWarm, ErrInfeasible) {
@@ -124,9 +125,9 @@ func TestSolveWithCostsEngines(t *testing.T) {
 				nw.AddSupply(s, value)
 				nw.AddSupply(tt, -value)
 				costs := arcCosts(nw)
-				ref, _, errRef := nw.SolveWith(SSP, nil)
+				ref, _, errRef := bflow(nw, SSP, nil, nil)
 				for round := 0; round < 2; round++ {
-					sol, _, err := nw.SolveWithCosts(e, costs, sc)
+					sol, _, err := bflow(nw, e, costs, sc)
 					if (errRef == nil) != (err == nil) {
 						t.Fatalf("instance %d: ref err %v, %s err %v", i, errRef, e.Name(), err)
 					}
@@ -153,7 +154,7 @@ func TestSolveWithCostsValueChange(t *testing.T) {
 	costs := arcCosts(nw)
 	sc := NewScratch()
 	for round, value := range []int64{1, 3, 3, 5, 2} {
-		warm, st, errW := nw.MinCostFlowValueWithCosts(SSP, costs, sc, s, tt, value)
+		warm, st, errW := solveValue(nw, SSP, costs, sc, s, tt, value)
 		cold, errC := nw.MinCostFlowValue(s, tt, value)
 		if (errC == nil) != (errW == nil) {
 			t.Fatalf("value %d: cold err %v, warm err %v", value, errC, errW)
@@ -184,7 +185,7 @@ func TestIncrementalValueSweep(t *testing.T) {
 		nw, s, tt, maxV := randomInstance(rng)
 		costs := arcCosts(nw)
 		for value := int64(0); value <= maxV; value++ {
-			warm, st, errW := nw.MinCostFlowValueWithCosts(SSP, costs, sc, s, tt, value)
+			warm, st, errW := solveValue(nw, SSP, costs, sc, s, tt, value)
 			cold, errC := nw.MinCostFlowValue(s, tt, value)
 			if (errC == nil) != (errW == nil) {
 				t.Fatalf("instance %d value %d: cold err %v, warm err %v", i, value, errC, errW)
@@ -211,7 +212,7 @@ func TestIncrementalValueSweep(t *testing.T) {
 			}
 		}
 		for value := maxV; value >= 0; value-- {
-			warm, st, errW := nw.MinCostFlowValueWithCosts(SSP, costs, sc, s, tt, value)
+			warm, st, errW := solveValue(nw, SSP, costs, sc, s, tt, value)
 			cold, errC := nw.MinCostFlowValue(s, tt, value)
 			if (errC == nil) != (errW == nil) {
 				t.Fatalf("instance %d value %d (down): cold err %v, warm err %v", i, value, errC, errW)
@@ -240,7 +241,7 @@ func TestPatchSuppliesFallback(t *testing.T) {
 	nw.AddSupply(3, -3)
 	costs := arcCosts(nw)
 	sc := NewScratch()
-	first, _, err := nw.SolveWithCosts(SSP, costs, sc)
+	first, _, err := bflow(nw, SSP, costs, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestPatchSuppliesFallback(t *testing.T) {
 	// widen, so this must re-prepare, not patch.
 	nw.AddSupply(1, 2)
 	nw.AddSupply(3, -2)
-	second, st, err := nw.SolveWithCosts(SSP, costs, sc)
+	second, st, err := bflow(nw, SSP, costs, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestPatchSuppliesFallback(t *testing.T) {
 	// patchable (cap 0 on its existing super arc).
 	nw.AddSupply(1, -2)
 	nw.AddSupply(3, 2)
-	third, st, err := nw.SolveWithCosts(SSP, costs, sc)
+	third, st, err := bflow(nw, SSP, costs, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,9 +278,10 @@ func TestPatchSuppliesFallback(t *testing.T) {
 	}
 }
 
-// TestSolveWithCostsInvalidatedByColdSolve: a cold solve on the same scratch
-// overwrites the residual; the next warm call must detect it and re-prepare
-// rather than decode garbage.
+// TestSolveWithCostsInvalidatedByColdSolve: solving a different network on
+// the same scratch overwrites the residual; the next solve of the first
+// network must detect it and re-prepare (WarmStart false) rather than decode
+// garbage.
 func TestSolveWithCostsInvalidatedByColdSolve(t *testing.T) {
 	sc := NewScratch()
 	rng := rand.New(rand.NewSource(13))
@@ -291,17 +293,17 @@ func TestSolveWithCostsInvalidatedByColdSolve(t *testing.T) {
 	nwB.AddSupply(tB, -vB)
 
 	costsA := arcCosts(nwA)
-	want, _, errWant := nwA.SolveWith(SSP, nil)
-	if _, _, err := nwA.SolveWithCosts(SSP, costsA, sc); (err == nil) != (errWant == nil) {
+	want, _, errWant := bflow(nwA, SSP, nil, nil)
+	if _, _, err := bflow(nwA, SSP, costsA, sc); (err == nil) != (errWant == nil) {
 		t.Fatalf("first warm solve: %v vs %v", err, errWant)
 	}
-	// Cold solve of a different network through the same scratch.
-	if _, _, err := nwB.SolveWith(SSP, sc); err != nil && !errors.Is(err, ErrInfeasible) {
+	// A different network through the same scratch, on its own costs.
+	if _, _, err := bflow(nwB, SSP, nil, sc); err != nil && !errors.Is(err, ErrInfeasible) {
 		t.Fatal(err)
 	}
-	got, st, err := nwA.SolveWithCosts(SSP, costsA, sc)
+	got, st, err := bflow(nwA, SSP, costsA, sc)
 	if (err == nil) != (errWant == nil) {
-		t.Fatalf("re-solve after cold interleave: %v vs %v", err, errWant)
+		t.Fatalf("re-solve after another network's solve: %v vs %v", err, errWant)
 	}
 	if err == nil {
 		if st.WarmStart {
@@ -319,7 +321,7 @@ func TestSolveWithCostsVectorLength(t *testing.T) {
 	nw.MustArc(0, 1, 0, 5, 2)
 	nw.AddSupply(0, 4)
 	nw.AddSupply(1, -4)
-	if _, _, err := nw.SolveWithCosts(SSP, []int64{1, 2}, nil); err == nil {
+	if _, _, err := bflow(nw, SSP, []int64{1, 2}, nil); err == nil {
 		t.Fatal("oversized cost vector accepted")
 	}
 }
@@ -336,14 +338,14 @@ func TestInitPotentialsBellmanFordFallback(t *testing.T) {
 	nw.MustArc(0, 1, 0, 5, 1)
 	nw.AddSupply(0, 3)
 	nw.AddSupply(2, -3)
-	sol, _, err := nw.SolveWith(SSP, nil)
+	sol, _, err := bflow(nw, SSP, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Cost != 3*(1+2) {
 		t.Fatalf("cost %d, want 9", sol.Cost)
 	}
-	cc, err := nw.SolveCycleCancel()
+	cc, _, err := bflow(nw, CycleCancelling, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

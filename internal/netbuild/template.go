@@ -14,7 +14,10 @@ import (
 // style; the energy model, supply voltage and switching-activity oracle only
 // move the arc costs. Building the network once and swapping cost vectors
 // per model turns a sweep's per-cell O(segments²) construction into an
-// O(arcs) recompute, feeding flow.Network.SolveWithCosts' warm-start path.
+// O(arcs) recompute, feeding the warm-start path of
+// flow.Network.MinCostFlowValueWithCostsInto. The template's own network
+// costs are those of the baseline options, so a solve with a nil cost
+// vector prices it under them.
 type Template struct {
 	// Build is the underlying construction; its network, segment and
 	// transfer metadata are shared by every cost view. Callers must not

@@ -118,9 +118,30 @@ func TestForceDirectedValidProperty(t *testing.T) {
 	}
 }
 
-// TestForceDirectedNeverWorsePeak: at ASAP latency, the FDS multiplier peak
-// never exceeds the ASAP peak (flattening is the whole point).
+// TestForceDirectedNeverWorsePeak: at ASAP latency FDS flattens unit usage
+// in aggregate, but a single block may trade one unit class against the
+// other, because the force FDS minimises sums both classes' distribution
+// graphs. That is Paulin–Knight's rule, not a defect: an independent
+// reimplementation of it chose the same schedule as ForceDirected on 3,000
+// random blocks, among them seed 1121, where ASAP's ALU/multiplier peaks of
+// 4/1 become 3/2. So no per-class "never above ASAP" bound holds:
+// multipliers ≤ ASAP with ALUs ≤ ASAP + 1 fails on about 0.2% of blocks.
+// The bounds asserted here are a measured envelope over 1.2 million
+// testing/quick seeds, not a theorem: each class's peak stayed within
+// ASAP's + 2 (+2 was reached on 3 blocks), and over every batch of 25
+// blocks the summed ALU + multiplier peaks fell strictly below ASAP's (all
+// 48,000 batches; the mean change per block was −0.75 units).
 func TestForceDirectedNeverWorsePeak(t *testing.T) {
+	peak := func(a []int) int {
+		m := 0
+		for _, v := range a {
+			if v > m {
+				m = v
+			}
+		}
+		return m
+	}
+	var asapSum, fdsSum int
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		b := genBlock(rng)
@@ -132,21 +153,16 @@ func TestForceDirectedNeverWorsePeak(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		peak := func(a []int) int {
-			m := 0
-			for _, v := range a {
-				if v > m {
-					m = v
-				}
-			}
-			return m
-		}
 		aA, mA := asap.UnitUsage()
 		aF, mF := fds.UnitUsage()
-		// Allow equality; require no regression on either class jointly.
-		return peak(mF) <= peak(mA)+0 && peak(aF) <= peak(aA)+1
+		asapSum += peak(aA) + peak(mA)
+		fdsSum += peak(aF) + peak(mF)
+		return peak(aF) <= peak(aA)+2 && peak(mF) <= peak(mA)+2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+	if fdsSum >= asapSum {
+		t.Errorf("summed unit peaks over 25 blocks: FDS %d, ASAP %d; want FDS below", fdsSum, asapSum)
 	}
 }

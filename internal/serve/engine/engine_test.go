@@ -217,6 +217,50 @@ func TestPrepareTimeCountedOnce(t *testing.T) {
 	}
 }
 
+// TestEngineSpellingsShareTemplate: every spelling of one engine — the empty
+// default, the canonical name, case and hyphen variants — resolves to that
+// engine's canonical name, so all of them share one template-cache entry and
+// one shard route.
+func TestEngineSpellingsShareTemplate(t *testing.T) {
+	e := New(Config{Workers: 1, QueueDepth: 4})
+	ctx := context.Background()
+	defer e.Close(ctx)
+	for _, g := range []struct {
+		canonical string
+		spellings []string
+	}{
+		{"ssp", []string{"", "ssp", "SSP"}},
+		{"cyclecancel", []string{"cyclecancel", "cycle-cancel"}},
+	} {
+		var first *BlockResult
+		for i, name := range g.spellings {
+			req := Request{Program: testPrograms[1], Options: RequestOptions{Registers: 2, Engine: name}}
+			canon := Request{Program: req.Program, Options: RequestOptions{Registers: 2, Engine: g.canonical}}
+			if RouteKey(&req) != RouteKey(&canon) {
+				t.Errorf("engine %q routes apart from %q", name, g.canonical)
+			}
+			resp, err := e.Allocate(ctx, &req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := &resp.Blocks[0]
+			if b.Stats.Engine != g.canonical {
+				t.Errorf("engine %q ran as %q, want %q", name, b.Stats.Engine, g.canonical)
+			}
+			if i == 0 {
+				first = b
+				continue
+			}
+			if !b.CacheHit {
+				t.Errorf("engine %q missed the template %q prepared", name, g.spellings[0])
+			}
+			if b.Energy != first.Energy {
+				t.Errorf("engine %q: energy %v, want %v", name, b.Energy, first.Energy)
+			}
+		}
+	}
+}
+
 // blockingHook returns a testHookPreSolve that signals entry and then parks
 // until released, pinning a worker mid-request.
 func blockingHook(entered chan<- struct{}, release <-chan struct{}) func(*Request) {

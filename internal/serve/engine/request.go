@@ -119,7 +119,9 @@ func DecodeRequest(r io.Reader, maxProgram int) (*Request, error) {
 	return &req, nil
 }
 
-// validateRequest applies defaults and range-checks the options.
+// validateRequest applies defaults and range-checks the options. The engine
+// option is rewritten to the canonical name of the engine that will run, so
+// every spelling of one engine shares its cache entries.
 func validateRequest(req *Request, maxProgram int) error {
 	if strings.TrimSpace(req.Program) == "" {
 		return badRequest("program", "empty program", nil)
@@ -140,9 +142,11 @@ func validateRequest(req *Request, maxProgram int) error {
 	if o.MemDivisor < 1 || o.MemDivisor > MaxMemDivisor {
 		return badRequest("options.mem_divisor", fmt.Sprintf("memory divisor %d outside [1, %d]", o.MemDivisor, MaxMemDivisor), nil)
 	}
-	if _, err := flow.EngineByName(o.Engine); err != nil {
+	eng, err := engineName(o.Engine)
+	if err != nil {
 		return badRequest("options.engine", "unknown engine", err)
 	}
+	o.Engine = eng
 	switch o.Style {
 	case "", "density", "allcompat":
 	default:
@@ -168,6 +172,22 @@ func validateRequest(req *Request, maxProgram int) error {
 		o.ALUs, o.Multipliers = 2, 1
 	}
 	return nil
+}
+
+// engineName resolves an engine option to the canonical name of the engine
+// that will run it: empty selects core's default the way core.NewPipeline
+// does, and spelling variants ("cycle-cancel", "SSP") collapse onto one
+// name. validateRequest and RouteKey share it, so the template cache and the
+// shard route agree on which requests name the same engine.
+func engineName(name string) (string, error) {
+	if name == "" {
+		name = core.DefaultEngine()
+	}
+	e, err := flow.EngineByName(name)
+	if err != nil {
+		return "", err
+	}
+	return e.Name(), nil
 }
 
 // parseProgram parses the request's TAC text, wrapping syntax errors as
@@ -223,8 +243,8 @@ func schedule(b *ir.Block, o RequestOptions) (*sched.Schedule, error) {
 
 // cacheKey canonically hashes everything that determines the prepared flow
 // topology: the split-relevant options (memory restriction, split policy,
-// graph style, engine) and the exact lifetime-set shape, variable names
-// included — decoded results carry variable names, so two programs must
+// graph style, canonical engine name) and the exact lifetime-set shape,
+// variable names included — decoded results carry variable names, so two programs must
 // collide only when a cached template reproduces their cold allocation
 // byte-for-byte. The register count and cost model are deliberately
 // excluded: both are repriced per solve on the warm path.
@@ -232,7 +252,7 @@ func cacheKey(set *lifetime.Set, o RequestOptions) string {
 	h := sha256.New()
 	var b strings.Builder
 	fmt.Fprintf(&b, "v1|div=%d|splitfull=%t|style=%s|engine=%s|steps=%d",
-		o.MemDivisor, o.SplitFull, o.Style, strings.ToLower(o.Engine), set.Steps)
+		o.MemDivisor, o.SplitFull, o.Style, o.Engine, set.Steps)
 	io.WriteString(h, b.String())
 	for i := range set.Lifetimes {
 		l := &set.Lifetimes[i]
@@ -262,12 +282,17 @@ func cacheKey(set *lifetime.Set, o RequestOptions) string {
 // keeps re-solving that shard's warm templates. Shard routers and load
 // drivers share this key so client-side routing agrees with server-side
 // affinity. The key is computed on the raw request, so the validation
-// defaults are applied locally first.
+// defaults and the engine-name canonicalization are applied locally first;
+// an unknown engine hashes as given, since every shard rejects it alike.
 func RouteKey(req *Request) string {
 	o := req.Options
 	div := o.MemDivisor
 	if div == 0 {
 		div = 1
+	}
+	eng, err := engineName(o.Engine)
+	if err != nil {
+		eng = o.Engine
 	}
 	alus, mults := o.ALUs, o.Multipliers
 	if alus == 0 && mults == 0 && o.Scheduler != "asap" && o.Scheduler != "fds" {
@@ -275,7 +300,7 @@ func RouteKey(req *Request) string {
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "rk1|div=%d|splitfull=%t|style=%s|engine=%s|sched=%s|alus=%d|mults=%d|",
-		div, o.SplitFull, o.Style, strings.ToLower(o.Engine), o.Scheduler, alus, mults)
+		div, o.SplitFull, o.Style, eng, o.Scheduler, alus, mults)
 	io.WriteString(h, req.Program)
 	return hex.EncodeToString(h.Sum(nil))
 }

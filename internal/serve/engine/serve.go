@@ -1,9 +1,11 @@
 // Package engine is the allocation-as-a-service request engine: a bounded
 // admission queue feeding a worker pool of solver contexts, fronted by an
-// LRU template cache so repeated program shapes re-solve on the warm
-// incremental path (core.Prepared + flow SolveWithCosts) instead of running
-// the cold pipeline, with an in-process metrics registry (counters, gauges,
-// log-bucketed latency histograms) and graceful drain. Every request takes
+// LRU template cache so repeated program shapes re-solve a cached
+// core.Prepared on its retained solver scratch (warm, often incremental)
+// instead of preparing again, with an in-process metrics registry
+// (counters, gauges, log-bucketed latency histograms) and graceful drain.
+// A cache miss runs core.Prepare and then the same prepared solve, so hits
+// and misses share the one solve path of internal/flow. Every request takes
 // one path: a worker dequeues it and solves its blocks one at a time. The
 // only hook into that path is Config.PreSolve, which runs before each
 // block's solve so a benchmark can time a request's way up to its solve and

@@ -41,7 +41,6 @@ func Zones() []Zone {
 			{Name: "Scratch.preparedFor"},
 			{Name: "Scratch.patchSupplies"},
 			{Name: "Scratch.restoreResidual"},
-			{Name: "Scratch.validPotentials"},
 			{Name: "costsEqual"},
 			// The SSP engine under the warm path: pathfinding, potentials and
 			// the priority queue.

@@ -101,10 +101,11 @@ func (pre *Prepared) CostView(co netbuild.CostOptions) (*CostView, error) {
 }
 
 // Allocate solves the prepared problem for one register count under one cost
-// model and decodes the result. Successive calls reuse the built topology;
-// calls repeating the previous register count additionally reuse the
-// solver's residual and, when still valid, its node potentials
-// (Result.Stats.Solver reports WarmStart / PotentialsReused). The first
+// model and decodes the result. Successive calls reuse the built topology
+// (Result.Stats.Solver reports WarmStart); a call that keeps or raises the
+// previous register count under the same cost model additionally keeps the
+// previous optimum and ships only the difference (Incremental). Every
+// answer equals a cold Allocate's, arc for arc. The first
 // Result after Prepare carries the one-off SplitTime/PinTime/BuildTime, and
 // its TotalTime includes Prepare's wall time; every later Result reports the
 // three as zero and times only its own solve and decode, so stage times

@@ -3,6 +3,8 @@ package core_test
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -60,6 +62,62 @@ func TestPreparedMatchesColdAllocate(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPreparedAnswersEqualCold is the byte-for-byte half of that contract.
+// On random lifetime sets, one Prepared per set serves a random walk of
+// register counts, up and down, under static and activity costs in random
+// order, at memory divisor 1 or 2. Every answer, whether from a full warm
+// re-solve or the incremental path, must equal a cold core.Allocate's: the
+// flow on every arc, and every segment's residence and register.
+func TestPreparedAnswersEqualCold(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	models := []netbuild.CostOptions{staticCO(), activityCO(energy.ConstHamming(0.5))}
+	answers, incremental := 0, 0
+	for i := 0; i < 300; i++ {
+		set := workload.MustRandom(rng, workload.RandomParams{
+			Vars: 4 + rng.Intn(14), Steps: 6 + rng.Intn(10), MaxReads: 3, ExternalFrac: 0.2, InputFrac: 0.2,
+		})
+		div := 1 + rng.Intn(2)
+		opts := core.Options{
+			Memory: lifetime.MemoryAccess{Period: div, Offset: div},
+			Style:  netbuild.DensityRegions,
+			Cost:   staticCO(),
+		}
+		pre, err := core.Prepare(set, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs := 1 + rng.Intn(6)
+		for call := 0; call < 10; call++ {
+			regs = min(max(regs+rng.Intn(5)-2, 0), 6)
+			co := models[rng.Intn(len(models))]
+			warm, errW := pre.Allocate(regs, co)
+			coldOpts := opts
+			coldOpts.Registers = regs
+			coldOpts.Cost = co
+			cold, errC := core.Allocate(set, coldOpts)
+			if (errW == nil) != (errC == nil) {
+				t.Fatalf("set %d call %d R=%d: warm err %v, cold err %v", i, call, regs, errW, errC)
+			}
+			if errW != nil {
+				continue
+			}
+			answers++
+			if warm.Stats.Solver.Incremental {
+				incremental++
+			}
+			if !slices.Equal(warm.Solution.FlowByArc, cold.Solution.FlowByArc) ||
+				!slices.Equal(warm.InRegister, cold.InRegister) || !slices.Equal(warm.RegOf, cold.RegOf) {
+				t.Errorf("set %d call %d R=%d div=%d co=%v (incremental=%t): warm answer differs from cold\n warm flow %v regs %v\n cold flow %v regs %v",
+					i, call, regs, div, co.Style, warm.Stats.Solver.Incremental,
+					warm.Solution.FlowByArc, warm.RegOf, cold.Solution.FlowByArc, cold.RegOf)
+			}
+		}
+	}
+	if incremental == 0 || incremental == answers {
+		t.Fatalf("%d of %d answers incremental; want both paths exercised", incremental, answers)
 	}
 }
 

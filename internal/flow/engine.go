@@ -87,11 +87,12 @@ type SolveStats struct {
 	Relabels int `json:"relabels"`
 	Pushes   int `json:"pushes"`
 	// WarmStart reports that the solve reused a previously prepared residual
-	// topology (same network, same scratch); PotentialsReused additionally
-	// reports that the carried-over node potentials passed the reduced-cost
-	// validity check, skipping potential initialisation entirely.
-	// Incremental reports the strongest reuse: the previous optimal flow
-	// stayed in the residual and only the value delta was augmented.
+	// topology (same network, same scratch). Incremental reports the
+	// strongest reuse: the previous optimal flow stayed in the residual and
+	// only the value delta was augmented. PotentialsReused reports that the
+	// solve skipped potential initialisation, starting from the previous
+	// solve's potentials repaired around the widened super arcs; only the
+	// incremental path does that.
 	WarmStart        bool `json:"warm_start"`
 	PotentialsReused bool `json:"potentials_reused"`
 	Incremental      bool `json:"incremental"`
@@ -139,10 +140,12 @@ type Scratch struct {
 	indeg []int32
 	order []int32
 	// Warm-start state: the prepared residual topology of the last network
-	// solved and the flag telling ssp the current potentials were validated
-	// for reuse.
+	// solved and the flag telling ssp the incremental path repaired the
+	// current potentials for reuse.
 	prep   prepared
 	warmPi bool
+	// seeds holds the super arcs repairPotentials starts from.
+	seeds []int32
 	// Incremental re-solve state: solved marks the residual as holding an
 	// optimal SSP flow of shipped units under the lastCosts vector, the
 	// starting point for augmenting only a value delta.

@@ -7,7 +7,11 @@
 //     as its allocating form: the lower-bound reduction and super
 //     source/sink are built once per network on a Scratch, and a retained
 //     Scratch turns re-solves under new costs or flow values into warm,
-//     allocation-free ones;
+//     allocation-free ones. A warm re-solve that grows the value under
+//     unchanged costs keeps the previous optimum and augments only the
+//     delta, after repairing the potentials from the widened super arcs;
+//     every other re-solve starts from fresh potentials, so it returns the
+//     cold solve's flow;
 //   - three engines behind that path: successive shortest paths with node
 //     potentials (polynomial time, the primary engine), and cycle
 //     cancelling and cost-scaling push-relabel as independent cross-checks;

@@ -11,8 +11,8 @@ func ssp(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, error) {
 	r.ensureCSR()
 	var pi []int64
 	if sc.warmPi {
-		// solveWithCosts verified the carried-over potentials keep reduced
-		// costs non-negative on the current residual; skip initialisation.
+		// solveWithCosts repaired the previous solve's potentials on the
+		// flow it kept; skip initialisation.
 		pi = sc.pi[:r.n]
 		st.PotentialsReused = true
 	} else {
@@ -28,18 +28,17 @@ func ssp(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, error) {
 	var shipped int64
 	for shipped < required {
 		st.Phases++
-		dijkstra(r, s, pi, dist, prevArc, &sc.heap, st)
-		if dist[t] >= infCost {
+		dijkstra(r, s, t, pi, dist, prevArc, &sc.heap, st)
+		dt := dist[t]
+		if dt >= infCost {
 			break // t unreachable under current residual
 		}
-		// Update potentials; nodes unreachable this round keep a potential
-		// large enough that reduced costs stay non-negative.
+		// Update potentials. The round stopped at t, so only the nodes
+		// settled before it hold final distances, all at most dist[t]; every
+		// other node, reached or not, takes dist[t]. Reduced costs stay
+		// non-negative on every capacitated arc.
 		for v := range pi {
-			if dist[v] < infCost {
-				pi[v] += dist[v]
-			} else {
-				pi[v] += dist[t]
-			}
+			pi[v] += min(dist[v], dt)
 		}
 		// Bottleneck along the s->t path (prevArc forms a tree, so the walk
 		// terminates at s).
@@ -138,39 +137,95 @@ func dagRelax(r *residual, sc *Scratch, dist []int64) bool {
 	return processed == r.n
 }
 
-// repairPotentials restores the non-negative reduced-cost invariant on a
-// residual that still holds a flow, starting from the previous solve's
-// potentials: label-correcting relaxation until fixpoint. Only potentials
-// near the widened super arcs actually move, so this typically converges in
-// one or two O(E) passes — far cheaper than re-initialising. A fixpoint also
-// certifies the held flow is optimal for its value (no negative residual
-// cycle), the precondition for incrementally augmenting on top of it;
-// conversely a negative cycle never reaches a fixpoint, so the pass cap
-// doubles as the soundness guard and the caller must fall back to a full
-// re-solve when it trips.
+// repairPotentials restores the non-negative reduced-cost invariant after
+// patchSupplies widened super arcs under the optimal flow the residual still
+// holds, or reports that no potentials exist. Before the widening every
+// capacitated arc had non-negative reduced cost under pi. Widening only
+// gives capacity back to saturated super arcs, so the arcs that can now
+// break the invariant are among the capacitated arcs out of the super source
+// s or into the super sink t: the seeds.
+//
+// Each phase lowers the head of every violated seed and propagates the
+// decreases Dijkstra-style over the arcs that were non-negative at the
+// phase's start; a decrease never grows along such an arc, so each node
+// settles once. Afterwards only seeds can be violated. A simple path leaves
+// s at most once and enters t at most once, so it crosses at most two
+// seeds: without a negative cycle, two phases reach the fixpoint, the
+// largest potentials below pi that satisfy every arc. A seed still violated
+// after them proves a negative cycle: the held flow is not optimal for its
+// value in the widened network, and the caller must fall back to a full
+// re-solve, which re-initialises the half-updated pi.
 //
 //lea:noalloc
-func repairPotentials(r *residual, pi []int64) bool {
-	for pass := 0; pass <= r.n; pass++ {
-		changed := false
-		for a := 0; a < len(r.to); a++ {
-			if r.capR[a] <= 0 {
-				continue
-			}
-			u := r.tail[a]
+func repairPotentials(sc *Scratch, s, t int) bool {
+	r := &sc.r
+	pi := sc.pi[:r.n]
+	seeds := sc.seeds[:0]
+	for a := r.start[s]; a < r.start[s+1]; a++ {
+		if r.capR[a] > 0 {
+			seeds = append(seeds, a)
+		}
+	}
+	for b := r.start[t]; b < r.start[t+1]; b++ {
+		if a := r.rev[b]; r.capR[a] > 0 {
+			seeds = append(seeds, a)
+		}
+	}
+	sc.seeds = seeds
+	// drop[v] is the phase's change to pi[v] (never positive); arc weights
+	// are reduced costs under the phase's starting pi.
+	sc.dist = grow64(sc.dist, r.n) //lea:allocs scratch growth on first solve of a larger network
+	drop := sc.dist
+	h := &sc.heap
+	for phase := 0; ; phase++ {
+		for v := range drop {
+			drop[v] = 0
+		}
+		h.a = h.a[:0]
+		seq := int32(0)
+		for _, a := range seeds {
+			u, v := r.tail[a], r.to[a]
 			if pi[u] >= infCost {
 				continue
 			}
-			if d := pi[u] + r.cost[a]; d < pi[r.to[a]] {
-				pi[r.to[a]] = d
-				changed = true
+			if d := pi[u] + r.cost[a] - pi[v]; d < drop[v] {
+				drop[v] = d
+				seq++
+				h.push(heapItem{d, seq, v})
 			}
 		}
-		if !changed {
+		if h.len() == 0 {
 			return true
 		}
+		if phase == 2 {
+			return false
+		}
+		for h.len() > 0 {
+			it := h.pop()
+			u := int(it.node)
+			if it.dist > drop[u] {
+				continue // stale entry
+			}
+			for a := int(r.start[u]); a < int(r.start[u+1]); a++ {
+				if r.capR[a] <= 0 {
+					continue
+				}
+				v := r.to[a]
+				rc := r.cost[a] + pi[u] - pi[v]
+				if rc < 0 {
+					continue // a violated seed: the next phase lowers its head
+				}
+				if d := it.dist + rc; d < drop[v] {
+					drop[v] = d
+					seq++
+					h.push(heapItem{d, seq, v})
+				}
+			}
+		}
+		for v, d := range drop {
+			pi[v] += d
+		}
 	}
-	return false
 }
 
 // bellmanFord computes shortest distances from s over arcs with residual
@@ -211,11 +266,13 @@ func bellmanFord(r *residual, s int, dist []int64) ([]int64, error) {
 	}
 }
 
-// dijkstra computes reduced-cost shortest paths from s on the binary heap h,
-// filling dist and prevArc for every node (infCost and -1 when unreached).
+// dijkstra computes reduced-cost shortest paths from s on the binary heap h
+// and stops once it settles t. dist and prevArc hold final values for the
+// nodes settled by then, the path to t among them; every other node holds a
+// tentative distance no smaller than dist[t] (infCost and -1 when unreached).
 //
 //lea:noalloc
-func dijkstra(r *residual, s int, pi, dist []int64, prevArc []int32, h *payHeap, st *SolveStats) {
+func dijkstra(r *residual, s, t int, pi, dist []int64, prevArc []int32, h *payHeap, st *SolveStats) {
 	for v := range dist {
 		dist[v] = infCost
 		prevArc[v] = -1
@@ -230,6 +287,9 @@ func dijkstra(r *residual, s int, pi, dist []int64, prevArc []int32, h *payHeap,
 		u := int(it.node)
 		if it.dist > dist[u] {
 			continue // stale entry
+		}
+		if u == t {
+			return
 		}
 		for a := int(r.start[u]); a < int(r.start[u+1]); a++ {
 			if r.capR[a] <= 0 {

@@ -37,12 +37,15 @@ func (nw *Network) MinCostFlowValue(s, t int, value int64) (*Solution, error) {
 // rebuild (SolveStats.WarmStart). A changed value patches the two super-arc
 // capacities in the snapshot and stays warm; only a sign flip in a node's
 // imbalance, or a solve of another network on the scratch, forces a
-// re-prepare. Node potentials carry over whenever they keep every reduced
-// cost non-negative under the new costs (SolveStats.PotentialsReused), and
-// an SSP re-solve under unchanged costs that keeps or grows the value
-// augments only the delta on the retained optimal flow
-// (SolveStats.Incremental). sol's flow slice is reused, grown only when too
-// small, so a warm re-solve performs zero heap allocations.
+// re-prepare. An SSP re-solve under unchanged costs that keeps or grows the
+// value augments only the delta on the retained optimal flow, starting from
+// the previous solve's potentials repaired around the widened super arcs
+// (SolveStats.Incremental and PotentialsReused); when the widening breaks
+// that flow's optimality it falls back to a full re-solve. Every full
+// re-solve initialises its potentials afresh, as a cold solve does, so it
+// returns the cold solve's flow arc for arc. sol's flow slice is reused,
+// grown only when too small, so a warm re-solve performs zero heap
+// allocations.
 //
 //lea:noalloc
 func (nw *Network) MinCostFlowValueWithCostsInto(e Engine, costs []int64, sc *Scratch, s, t int, value int64, sol *Solution, st *SolveStats) error {
@@ -109,9 +112,9 @@ func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, sol *Sol
 	if incremental {
 		// Keep the residual's flow; the widened super arcs may have exposed
 		// negative reduced costs, so repair the potentials in place. A
-		// repair failure means no valid potentials from this start (or slow
-		// convergence) — fall back to a plain warm re-solve.
-		if len(sc.pi) >= r.n && repairPotentials(r, sc.pi[:r.n]) {
+		// repair failure means the widening exposed a negative cycle — fall
+		// back to a plain warm re-solve.
+		if len(sc.pi) >= r.n && repairPotentials(sc, sc.prep.s, sc.prep.t) {
 			base = sc.shipped
 			sc.warmPi = true
 			st.Incremental = true
@@ -120,14 +123,10 @@ func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, sol *Sol
 		}
 	}
 	if !incremental {
+		// A full re-solve, warm or cold, starts from initPotentials, so it
+		// runs exactly the cold solve's rounds and returns its flow.
 		r = sc.restoreResidual()
 		sc.installCosts(costs)
-		// Carry over node potentials when they remain valid: every arc with
-		// residual capacity must have non-negative reduced cost, the
-		// invariant the SSP engine maintains. O(E) to check, and any
-		// potential vector that passes is a correct starting point
-		// regardless of provenance.
-		sc.warmPi = st.WarmStart && sc.validPotentials()
 	}
 	pushed, err := e.run(sc, sc.prep.s, sc.prep.t, sc.prep.required-base, st)
 	sc.warmPi = false
@@ -346,27 +345,4 @@ func (sc *Scratch) restoreResidual() *residual {
 	r.capR = r.capR[:len(sc.prep.initCap)]
 	copy(r.capR, sc.prep.initCap)
 	return r
-}
-
-// validPotentials reports whether the scratch's potential vector keeps the
-// reduced cost of every capacitated residual arc non-negative — the
-// precondition for reusing it as the SSP starting potentials.
-//
-//lea:noalloc
-func (sc *Scratch) validPotentials() bool {
-	r := &sc.r
-	if len(sc.pi) < r.n {
-		return false
-	}
-	pi := sc.pi[:r.n]
-	for a := 0; a < len(r.to); a++ {
-		if r.capR[a] <= 0 {
-			continue
-		}
-		u, v := r.tail[a], r.to[a]
-		if r.cost[a]+pi[u]-pi[v] < 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -3,14 +3,19 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/lifetime"
+	"repro/internal/workload"
 )
 
 // Three distinct single-block programs: the "distinct shapes" half of the
@@ -55,13 +60,23 @@ end
 // the volatile fields (Stats, CacheHit) left zero for comparison.
 func coldBlocks(t *testing.T, req *Request) []BlockResult {
 	t.Helper()
+	out, err := coldAnswer(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// coldAnswer is coldBlocks returning the cold path's error instead of
+// failing the test.
+func coldAnswer(req *Request) ([]BlockResult, error) {
 	r := *req // validateRequest mutates options; keep the caller's copy clean
 	if err := validateRequest(&r, DefaultMaxProgramBytes); err != nil {
-		t.Fatalf("validate: %v", err)
+		return nil, fmt.Errorf("validate: %w", err)
 	}
 	prog, err := parseProgram(&r)
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		return nil, fmt.Errorf("parse: %w", err)
 	}
 	opts, _ := coreOptions(r.Options)
 	var out []BlockResult
@@ -69,15 +84,15 @@ func coldBlocks(t *testing.T, req *Request) []BlockResult {
 		for _, block := range task.Blocks {
 			sc, err := schedule(block, r.Options)
 			if err != nil {
-				t.Fatalf("schedule %s: %v", block.Name, err)
+				return nil, fmt.Errorf("schedule %s: %w", block.Name, err)
 			}
 			set, err := lifetime.FromSchedule(sc)
 			if err != nil {
-				t.Fatalf("lifetimes %s: %v", block.Name, err)
+				return nil, fmt.Errorf("lifetimes %s: %w", block.Name, err)
 			}
 			res, err := core.Allocate(set, opts)
 			if err != nil {
-				t.Fatalf("cold allocate %s: %v", block.Name, err)
+				return nil, fmt.Errorf("cold allocate %s: %w", block.Name, err)
 			}
 			out = append(out, BlockResult{
 				Task:            task.Name,
@@ -91,7 +106,7 @@ func coldBlocks(t *testing.T, req *Request) []BlockResult {
 			})
 		}
 	}
-	return out
+	return out, nil
 }
 
 // TestConcurrentMatchesSequentialCold pushes a mixed stream of identical and
@@ -173,6 +188,86 @@ func TestConcurrentMatchesSequentialCold(t *testing.T) {
 	}
 	if snap.Errors != 0 || snap.Panics != 0 {
 		t.Errorf("errors %d panics %d, want 0", snap.Errors, snap.Panics)
+	}
+}
+
+// TestAnswersEqualColdAcrossEviction: with room for one template, then two,
+// a request stream that interleaves random programs, register counts, cost
+// models and memory divisors keeps evicting and re-preparing templates, and
+// re-solves each cached one under changed R and costs. Every response, minus
+// Stats and CacheHit, must equal the cold answer, and every request the cold
+// path rejects must fail in the engine too.
+func TestAnswersEqualColdAcrossEviction(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var programs []string
+	for len(programs) < 8 {
+		p, err := workload.RandomProgram(rng, 12+rng.Intn(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := ir.Format(&b, p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := coldAnswer(&Request{Program: b.String(), Options: RequestOptions{Registers: 6}}); err == nil {
+			programs = append(programs, b.String())
+		}
+	}
+	type key struct {
+		prog string
+		opts RequestOptions
+	}
+	type outcome struct {
+		blocks []BlockResult
+		err    error
+	}
+	cold := map[key]outcome{}
+	ctx := context.Background()
+	for _, entries := range []int{1, 2} {
+		e := New(Config{Workers: 1, CacheEntries: entries})
+		prog, opts := programs[0], RequestOptions{}
+		hits := 0
+		for i := 0; i < 400; i++ {
+			if i == 0 || rng.Intn(3) == 0 {
+				prog = programs[rng.Intn(len(programs))]
+				opts.MemDivisor = 1 + rng.Intn(2)
+			}
+			opts.Registers = 1 + rng.Intn(6)
+			opts.Cost = []string{"static", "activity"}[rng.Intn(2)]
+			req := Request{Program: prog, Options: opts}
+			want, ok := cold[key{prog, opts}]
+			if !ok {
+				want.blocks, want.err = coldAnswer(&req)
+				cold[key{prog, opts}] = want
+			}
+			resp, err := e.Allocate(ctx, &req)
+			if (err == nil) != (want.err == nil) {
+				t.Fatalf("cache %d request %d %+v: engine err %v, cold err %v", entries, i, opts, err, want.err)
+			}
+			if err != nil {
+				continue
+			}
+			got := make([]BlockResult, len(resp.Blocks))
+			for j, b := range resp.Blocks {
+				if b.CacheHit {
+					hits++
+				}
+				b.CacheHit = false
+				b.Stats = core.RunStats{}
+				got[j] = b
+			}
+			if !reflect.DeepEqual(got, want.blocks) {
+				t.Errorf("cache %d request %d %+v: response differs from cold\n got %+v\nwant %+v",
+					entries, i, opts, got, want.blocks)
+			}
+		}
+		snap := e.Snapshot()
+		if err := e.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if hits == 0 || snap.CacheEvictions == 0 {
+			t.Fatalf("cache %d: %d hits, %d evictions; want both re-solves and re-prepares", entries, hits, snap.CacheEvictions)
+		}
 	}
 }
 
@@ -307,6 +402,50 @@ func TestOverloadReturnsTypedError(t *testing.T) {
 	}
 	if err := e.Close(ctx); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestQueueWaitCounted: a request held in the admission queue behind a
+// parked worker must show its wait in queue_wait, and request_latency must
+// count it too, so neither request of the pair reads under the hold.
+func TestQueueWaitCounted(t *testing.T) {
+	const hold = 20 * time.Millisecond
+	e := New(Config{Workers: 1, QueueDepth: 4})
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	e.testHookPreSolve = blockingHook(entered, release)
+	ctx := context.Background()
+	req := &Request{Program: testPrograms[0], Options: RequestOptions{Registers: 3}}
+
+	done := make(chan error, 2)
+	go func() { _, err := e.Allocate(ctx, req); done <- err }()
+	<-entered // the single worker is now parked inside the first request
+	go func() { _, err := e.Allocate(ctx, req); done <- err }()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(e.queue) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never reached the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(hold + 5*time.Millisecond)
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if err := e.Close(ctx); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	wait := e.Metrics().Histogram("queue_wait").Snapshot()
+	if wait.Count != 2 || wait.MaxNS < hold.Nanoseconds() {
+		t.Errorf("queue_wait: %d observations, max %v; want 2 with one of at least %v", wait.Count, time.Duration(wait.MaxNS), hold)
+	}
+	lat := e.Metrics().Histogram("request_latency").Snapshot()
+	if lat.Count != 2 || lat.MinNS < hold.Nanoseconds() {
+		t.Errorf("request_latency: %d observations, min %v; want 2, each at least %v", lat.Count, time.Duration(lat.MinNS), hold)
 	}
 }
 

@@ -112,11 +112,12 @@ type Response struct {
 	TotalEnergy float64 `json:"total_energy"`
 }
 
-// job is one queued request with its reply channel.
+// job is one queued request with its reply channel and admission time.
 type job struct {
-	ctx  context.Context
-	req  *Request
-	done chan jobResult
+	ctx      context.Context
+	req      *Request
+	done     chan jobResult
+	enqueued time.Time
 }
 
 // jobResult carries a worker's reply.
@@ -151,7 +152,10 @@ type Engine struct {
 	inflight    *Gauge
 	queueDepth  *Gauge
 
+	// latency runs from admission to reply, queueWait from admission to
+	// dequeue.
 	latency     *Histogram
+	queueWait   *Histogram
 	solveLat    *Histogram
 	stageTotals map[string]*Counter
 
@@ -184,6 +188,7 @@ func New(cfg Config) *Engine {
 		inflight:    m.Gauge("requests_inflight"),
 		queueDepth:  m.Gauge("queue_depth"),
 		latency:     m.Histogram("request_latency"),
+		queueWait:   m.Histogram("queue_wait"),
 		solveLat:    m.Histogram("solve_latency"),
 		stageTotals: map[string]*Counter{
 			"split":  m.Counter("stage_split_ns_total"),
@@ -229,7 +234,7 @@ func (e *Engine) Allocate(ctx context.Context, req *Request) (*Response, error) 
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.RequestTimeout)
 		defer cancel()
 	}
-	j := &job{ctx: ctx, req: req, done: make(chan jobResult, 1)}
+	j := &job{ctx: ctx, req: req, done: make(chan jobResult, 1), enqueued: time.Now()}
 
 	if err := e.enqueue(j); err != nil {
 		return nil, err
@@ -306,11 +311,13 @@ func (e *Engine) worker() {
 }
 
 // runJob executes one job with panic containment and metrics accounting.
+// The request's latency counts from its admission, so it includes the wait
+// in the queue.
 func (e *Engine) runJob(j *job) {
 	e.inflight.Add(1)
-	start := time.Now()
+	e.queueWait.Observe(time.Since(j.enqueued))
 	resp, err := e.processSafely(j)
-	e.latency.Observe(time.Since(start))
+	e.latency.Observe(time.Since(j.enqueued))
 	e.inflight.Add(-1)
 	e.requests.Inc()
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/lifetime"
 	"repro/internal/netbuild"
 	"repro/internal/perfobs"
-	"repro/internal/perfobs/store"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -48,15 +47,13 @@ type benchSnapshot struct {
 
 // runBenchJSON measures the sweep and solver benchmarks via
 // testing.Benchmark and writes the snapshot as JSON to path, stamped with
-// commit/host provenance. A non-empty trajectoryDir additionally appends the
-// measurement to the perf-trajectory store as a kind "bench" record.
-func runBenchJSON(w io.Writer, path, trajectoryDir string) error {
+// commit/host provenance.
+func runBenchJSON(w io.Writer, path string) error {
 	snap, err := measureSnapshot(w)
 	if err != nil {
 		return err
 	}
-	meta := perfobs.CollectMeta()
-	snap.stamp(meta)
+	snap.stamp(perfobs.CollectMeta())
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		return err
@@ -66,12 +63,6 @@ func runBenchJSON(w io.Writer, path, trajectoryDir string) error {
 		return err
 	}
 	fmt.Fprintf(w, "wrote %s\n", path)
-	if trajectoryDir != "" {
-		rec := benchRecordFrom(snap.Benchmarks, meta)
-		if err := appendTrajectory(w, trajectoryDir, rec); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -82,30 +73,6 @@ func (s *benchSnapshot) stamp(meta perfobs.Meta) {
 	s.GoVersion = meta.GoVersion
 	host := meta.Host
 	s.Host = &host
-}
-
-// appendTrajectory writes rec into the JSONL trend store under dir and notes
-// the append on w.
-func appendTrajectory(w io.Writer, dir string, rec *perfobs.Record) error {
-	if err := store.Open(dir).Append(rec); err != nil {
-		return fmt.Errorf("trajectory append: %w", err)
-	}
-	fmt.Fprintf(w, "trajectory: appended %s record %s under %s\n", rec.Kind, rec.RunID, dir)
-	return nil
-}
-
-// benchRecordFrom turns measured benchmark rows into a kind "bench"
-// trajectory record, one row per benchmark with the ns/allocs/bytes triple.
-func benchRecordFrom(benchmarks []benchResult, meta perfobs.Meta) *perfobs.Record {
-	rec := perfobs.NewRecord("bench", "leabench", meta)
-	for _, b := range benchmarks {
-		rec.AddRow(b.Name, map[string]float64{
-			"ns_per_op":     b.NsPerOp,
-			"allocs_per_op": float64(b.AllocsPerOp),
-			"bytes_per_op":  float64(b.BytesPerOp),
-		})
-	}
-	return rec
 }
 
 // measureSnapshot runs the full benchmark suite once and returns the

@@ -7,58 +7,40 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/perfobs"
 	"repro/internal/perfobs/stats"
 )
 
-// gateOptions configures runBenchGate: the committed baseline snapshot to
-// compare against, how many fresh measurement runs to take the median over,
-// and the ns/op tolerance band.
-type gateOptions struct {
-	Baseline  string  // path to the committed BENCH_sweep.json
-	Runs      int     // fresh measurement runs (median taken per benchmark)
-	Tolerance float64 // fail when median ns/op > baseline ns/op × Tolerance
-	// TrajectoryDir, when non-empty, appends the gate's median measurements
-	// to the perf-trajectory store as a kind "bench" record — the gate is the
-	// one place CI already pays for repeated measurement, so the trajectory
-	// rides along for free.
-	TrajectoryDir string
+// gateRuns is how many times the gate measures the suite. A row's allocs/op
+// is its minimum over these runs: that filters one-off runtime allocations,
+// while genuinely allocating code allocates on every run.
+const gateRuns = 3
+
+// gateRow is one benchmark's line in the alloc gate's report.
+type gateRow struct {
+	name       string
+	baseAllocs int64   // the committed ceiling, -1 for a NEW row
+	allocs     int64   // minimum allocs/op measured, -1 for a missing row
+	nsPerOp    float64 // median ns/op measured; reported, never judged
+	verdict    string
+	fail       bool
 }
 
-// runBenchGate is the CI perf gate. It re-measures the benchmark suite
-// opts.Runs times, reduces each benchmark to its median ns/op and minimum
-// allocs/op (the minimum filters one-off runtime noise; genuinely allocating
-// code allocates on every run), and fails when
-//
-//   - a baseline row is missing from the fresh measurement,
-//   - a zero-alloc baseline row now allocates (strict: machine-independent),
-//   - a row's allocs/op exceeds the baseline (alloc regressions are
-//     deterministic, so no tolerance band), or
-//   - a row's median ns/op exceeds baseline × Tolerance (generous band:
-//     CI machines differ from the one that recorded the baseline).
-//
-// Rows measured but absent from the baseline are reported as NEW and pass.
-// The ns/op verdict shares its band arithmetic with leaperf -regress via
-// perfobs/stats, so the two gates can never drift apart.
-func runBenchGate(w io.Writer, opts gateOptions) error {
-	data, err := os.ReadFile(opts.Baseline)
+// runBenchGate is the CI alloc gate. It measures the benchmark suite gateRuns
+// times and judges the allocs/op of every row against the committed baseline
+// snapshot. Timings are printed but not judged: they depend on the host,
+// while alloc counts do not. cmd/leaperf gates timing.
+func runBenchGate(w io.Writer, baseline string) error {
+	data, err := os.ReadFile(baseline)
 	if err != nil {
 		return err
 	}
 	var base benchSnapshot
 	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parse %s: %w", opts.Baseline, err)
+		return fmt.Errorf("parse %s: %w", baseline, err)
 	}
-	if opts.Runs < 1 {
-		opts.Runs = 1
-	}
-	if opts.Tolerance <= 0 {
-		opts.Tolerance = 4.0
-	}
-	band := stats.Band{Tolerance: opts.Tolerance}
 	samples := map[string][]benchResult{}
-	for r := 0; r < opts.Runs; r++ {
-		fmt.Fprintf(w, "gate run %d/%d\n", r+1, opts.Runs)
+	for r := 0; r < gateRuns; r++ {
+		fmt.Fprintf(w, "gate run %d/%d\n", r+1, gateRuns)
 		snap, err := measureSnapshot(io.Discard)
 		if err != nil {
 			return err
@@ -68,38 +50,53 @@ func runBenchGate(w io.Writer, opts gateOptions) error {
 		}
 	}
 
+	rows := judgeAllocs(base.Benchmarks, samples)
 	failures := 0
-	fmt.Fprintf(w, "%-22s %14s %14s %10s %10s  %s\n",
-		"benchmark", "base ns/op", "median ns/op", "base alloc", "allocs", "verdict")
-	for _, bb := range base.Benchmarks {
+	fmt.Fprintf(w, "%-22s %10s %10s %14s  %s\n", "benchmark", "ceiling", "allocs", "median ns/op", "verdict")
+	for _, r := range rows {
+		ceiling, allocs, ns := fmt.Sprint(r.baseAllocs), fmt.Sprint(r.allocs), fmt.Sprintf("%.0f", r.nsPerOp)
+		if r.baseAllocs < 0 {
+			ceiling = "-"
+		}
+		if r.allocs < 0 {
+			allocs, ns = "-", "-"
+		}
+		fmt.Fprintf(w, "%-22s %10s %10s %14s  %s\n", r.name, ceiling, allocs, ns, r.verdict)
+		if r.fail {
+			failures++
+		}
+	}
+	if failures > 0 {
+		return fmt.Errorf("bench gate: %d row(s) failed against %s", failures, baseline)
+	}
+	fmt.Fprintf(w, "bench gate: all %d rows within their alloc ceilings (%d runs)\n", len(base.Benchmarks), gateRuns)
+	return nil
+}
+
+// judgeAllocs holds the measured samples against the baseline rows' alloc
+// ceilings. A baseline row fails when it is missing from the measurement,
+// when it was zero-alloc and now allocates, or when its minimum allocs/op
+// exceeds its ceiling. Measured rows absent from the baseline are NEW and
+// pass. Baseline rows come first, in baseline order, then NEW rows by name.
+func judgeAllocs(base []benchResult, samples map[string][]benchResult) []gateRow {
+	rows := make([]gateRow, 0, len(base))
+	known := map[string]bool{}
+	for _, bb := range base {
+		known[bb.Name] = true
 		s := samples[bb.Name]
 		if len(s) == 0 {
-			failures++
-			fmt.Fprintf(w, "%-22s %14.0f %14s %10d %10s  FAIL: row missing from measurement\n",
-				bb.Name, bb.NsPerOp, "-", bb.AllocsPerOp, "-")
+			rows = append(rows, gateRow{name: bb.Name, baseAllocs: bb.AllocsPerOp, allocs: -1,
+				verdict: "FAIL: row missing from measurement", fail: true})
 			continue
 		}
-		med := medianNs(s)
-		allocs := minAllocs(s)
-		verdict := "ok"
+		r := gateRow{name: bb.Name, baseAllocs: bb.AllocsPerOp, allocs: minAllocs(s), nsPerOp: medianNs(s), verdict: "ok"}
 		switch {
-		case bb.AllocsPerOp == 0 && allocs > 0:
-			failures++
-			verdict = fmt.Sprintf("FAIL: must stay zero-alloc, got %d allocs/op", allocs)
-		case allocs > bb.AllocsPerOp:
-			failures++
-			verdict = fmt.Sprintf("FAIL: allocs regressed %d -> %d", bb.AllocsPerOp, allocs)
-		case band.Compare(bb.NsPerOp, med, stats.LowerIsBetter) == stats.Regressed:
-			failures++
-			verdict = fmt.Sprintf("FAIL: median %.0f ns/op > %.1fx baseline %.0f",
-				med, opts.Tolerance, bb.NsPerOp)
+		case bb.AllocsPerOp == 0 && r.allocs > 0:
+			r.verdict, r.fail = fmt.Sprintf("FAIL: must stay zero-alloc, got %d allocs/op", r.allocs), true
+		case r.allocs > bb.AllocsPerOp:
+			r.verdict, r.fail = fmt.Sprintf("FAIL: allocs regressed %d -> %d", bb.AllocsPerOp, r.allocs), true
 		}
-		fmt.Fprintf(w, "%-22s %14.0f %14.0f %10d %10d  %s\n",
-			bb.Name, bb.NsPerOp, med, bb.AllocsPerOp, allocs, verdict)
-	}
-	known := map[string]bool{}
-	for _, bb := range base.Benchmarks {
-		known[bb.Name] = true
+		rows = append(rows, r)
 	}
 	var extra []string
 	for name := range samples {
@@ -109,49 +106,11 @@ func runBenchGate(w io.Writer, opts gateOptions) error {
 	}
 	sort.Strings(extra)
 	for _, name := range extra {
-		fmt.Fprintf(w, "%-22s %14s %14.0f %10s %10d  NEW (not in baseline)\n",
-			name, "-", medianNs(samples[name]), "-", minAllocs(samples[name]))
-	}
-	if opts.TrajectoryDir != "" {
-		rec := benchRecordFrom(medianResults(samples), perfobs.CollectMeta())
-		if err := appendTrajectory(w, opts.TrajectoryDir, rec); err != nil {
-			return err
-		}
-	}
-	if failures > 0 {
-		return fmt.Errorf("bench gate: %d row(s) failed against %s", failures, opts.Baseline)
-	}
-	fmt.Fprintf(w, "bench gate: all %d rows within tolerance (%d runs, %.1fx band)\n",
-		len(base.Benchmarks), opts.Runs, opts.Tolerance)
-	return nil
-}
-
-// medianResults reduces per-benchmark samples to one row each — median ns/op,
-// minimum allocs/bytes (the same reductions the gate verdicts use) — sorted
-// by name for stable record contents.
-func medianResults(samples map[string][]benchResult) []benchResult {
-	names := make([]string, 0, len(samples))
-	for name := range samples {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]benchResult, 0, len(names))
-	for _, name := range names {
 		s := samples[name]
-		bytes := s[0].BytesPerOp
-		for _, b := range s[1:] {
-			if b.BytesPerOp < bytes {
-				bytes = b.BytesPerOp
-			}
-		}
-		out = append(out, benchResult{
-			Name:        name,
-			NsPerOp:     medianNs(s),
-			AllocsPerOp: minAllocs(s),
-			BytesPerOp:  bytes,
-		})
+		rows = append(rows, gateRow{name: name, baseAllocs: -1, allocs: minAllocs(s), nsPerOp: medianNs(s),
+			verdict: "NEW (not in baseline)"})
 	}
-	return out
+	return rows
 }
 
 // medianNs returns the median ns/op of the samples.

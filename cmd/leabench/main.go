@@ -90,26 +90,21 @@ func experiments(registers int) []experiment {
 
 func main() {
 	var (
-		all        = flag.Bool("all", false, "run every experiment")
-		exp        = flag.String("exp", "", "run one experiment by name")
-		markdown   = flag.Bool("md", false, "emit markdown tables")
-		registers  = flag.Int("registers", workload.Table1Registers, "register file size for the RSP experiments")
-		list       = flag.Bool("list", false, "list experiments")
-		solver     = flag.String("solver", "", fmt.Sprintf("min-cost-flow engine for every allocation (%s)", strings.Join(flow.EngineNames(), ", ")))
-		stats      = flag.Bool("stats", false, "print an aggregate of every allocation's stage timings and solver work")
-		parallel   = flag.Int("parallel", 1, "run up to this many experiments concurrently (output order is unchanged)")
-		benchJSON  = flag.String("json", "", "measure the sweep/solver benchmarks and write a perf snapshot to this path (e.g. BENCH_sweep.json)")
-		gate       = flag.Bool("gate", false, "re-measure the benchmarks and fail on regressions against -gate-baseline")
-		gateBase   = flag.String("gate-baseline", "BENCH_sweep.json", "committed perf snapshot the gate compares against")
-		gateRuns   = flag.Int("gate-runs", 3, "measurement runs the gate takes the per-benchmark median over")
-		gateTol    = flag.Float64("gate-tol", 4.0, "gate ns/op tolerance band (median must stay under baseline × this)")
-		trajectory = flag.String("trajectory", "", "append the measurement to the perf-trajectory store under this directory (e.g. trajectory/)")
+		all       = flag.Bool("all", false, "run every experiment")
+		exp       = flag.String("exp", "", "run one experiment by name")
+		markdown  = flag.Bool("md", false, "emit markdown tables")
+		registers = flag.Int("registers", workload.Table1Registers, "register file size for the RSP experiments")
+		list      = flag.Bool("list", false, "list experiments")
+		solver    = flag.String("solver", "", fmt.Sprintf("min-cost-flow engine for every allocation (%s)", strings.Join(flow.EngineNames(), ", ")))
+		stats     = flag.Bool("stats", false, "print an aggregate of every allocation's stage timings and solver work")
+		parallel  = flag.Int("parallel", 1, "run up to this many experiments concurrently (output order is unchanged)")
+		benchJSON = flag.String("json", "", "measure the sweep/solver benchmarks and write a perf snapshot to this path (e.g. BENCH_sweep.json)")
+		gate      = flag.Bool("gate", false, "re-measure the benchmarks and fail when a row allocates more than in -gate-baseline")
+		gateBase  = flag.String("gate-baseline", "BENCH_sweep.json", "committed perf snapshot whose allocs/op are the gate's ceilings")
 	)
 	flag.Parse()
 	if *gate {
-		err := runBenchGate(os.Stdout, gateOptions{Baseline: *gateBase, Runs: *gateRuns,
-			Tolerance: *gateTol, TrajectoryDir: *trajectory})
-		if err != nil {
+		if err := runBenchGate(os.Stdout, *gateBase); err != nil {
 			fmt.Fprintln(os.Stderr, "leabench:", err)
 			os.Exit(1)
 		}
@@ -123,7 +118,7 @@ func main() {
 		return
 	}
 	if *benchJSON != "" {
-		if err := runBenchJSON(os.Stdout, *benchJSON, *trajectory); err != nil {
+		if err := runBenchJSON(os.Stdout, *benchJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "leabench:", err)
 			os.Exit(1)
 		}

@@ -19,7 +19,7 @@
 // "r1,r2,…" steps the offered rate through a trajectory, reports each
 // stage's steady-state p99 and locates the knee — the highest offered rate
 // that still meets -knee-p99 with zero omissions; -bench-out writes the
-// machine-readable trajectory (the BENCH_load.json record CI tracks).
+// machine-readable run record.
 //
 // -url accepts a comma-separated endpoint list; with several endpoints each
 // request is routed by the same consistent hash of its program-shape key the
@@ -54,7 +54,6 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/perfobs"
-	"repro/internal/perfobs/store"
 	"repro/internal/serve/engine"
 	"repro/internal/serve/shard"
 	"repro/internal/workload"
@@ -84,16 +83,15 @@ type loadConfig struct {
 	strict      bool
 	requireWarm bool
 
-	loop       string
-	rate       float64
-	arrival    string
-	warmup     time.Duration
-	dist       string
-	cutoff     time.Duration
-	sweep      string
-	kneeP99    time.Duration
-	benchOut   string
-	trajectory string
+	loop     string
+	rate     float64
+	arrival  string
+	warmup   time.Duration
+	dist     string
+	cutoff   time.Duration
+	sweep    string
+	kneeP99  time.Duration
+	benchOut string
 }
 
 // run drives the load and writes the report.
@@ -122,8 +120,7 @@ func run(args []string, w io.Writer) error {
 	fs.DurationVar(&cfg.cutoff, "cutoff", 0, "open loop: abandon (and count omitted) ops claimed this long past the schedule end; 0 = never")
 	fs.StringVar(&cfg.sweep, "sweep", "", "open loop: comma-separated offered rates to step through, reporting the p99 knee")
 	fs.DurationVar(&cfg.kneeP99, "knee-p99", 50*time.Millisecond, "sweep: steady-state p99 budget a stage must meet to count as under the knee")
-	fs.StringVar(&cfg.benchOut, "bench-out", "", "write the machine-readable run/trajectory record (BENCH_load.json) to this path")
-	fs.StringVar(&cfg.trajectory, "trajectory", "", "append the run to the perf-trajectory store under this directory (e.g. trajectory/)")
+	fs.StringVar(&cfg.benchOut, "bench-out", "", "write the machine-readable run record to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -169,8 +166,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	fetchAllStats(&cfg, report, w)
-	meta := perfobs.CollectMeta()
-	report.stamp(meta)
+	report.stamp(perfobs.CollectMeta())
 	if err := report.write(w, cfg.jsonOut); err != nil {
 		return err
 	}
@@ -178,16 +174,6 @@ func run(args []string, w io.Writer) error {
 		if err := writeBenchRecord(cfg.benchOut, report); err != nil {
 			return fmt.Errorf("bench-out: %w", err)
 		}
-	}
-	if cfg.trajectory != "" {
-		rec := loadRecord(&cfg, report, meta)
-		if err := store.Open(cfg.trajectory).Append(rec); err != nil {
-			return fmt.Errorf("trajectory: %w", err)
-		}
-		// The note goes to stderr so a -json report piped to a file stays a
-		// single clean JSON document.
-		fmt.Fprintf(os.Stderr, "leaload: trajectory: appended %s record %s under %s\n",
-			rec.Kind, rec.RunID, cfg.trajectory)
 	}
 	if cfg.strict {
 		if report.Errors > 0 {
@@ -748,71 +734,8 @@ func (r *loadReport) stamp(meta perfobs.Meta) {
 	r.Host = &host
 }
 
-// warmHitRatio derives the server-side cache hit ratio, or -1 when no server
-// stats were reachable (so trend tooling can tell "no data" from "0% warm").
-func (r *loadReport) warmHitRatio() float64 {
-	if r.Server == nil {
-		return -1
-	}
-	total := r.Server.CacheHits + r.Server.CacheMisses
-	if total == 0 {
-		return -1
-	}
-	return float64(r.Server.CacheHits) / float64(total)
-}
-
-// trajectoryLabel names the scenario so the trend store only compares
-// like-for-like runs: loop discipline, popularity distribution and (open
-// loop) the offered rate.
-func trajectoryLabel(cfg *loadConfig) string {
-	switch {
-	case cfg.sweep != "":
-		return fmt.Sprintf("sweep/%s", cfg.dist)
-	case cfg.loop == "open":
-		return fmt.Sprintf("open/%s/rate=%g", cfg.dist, cfg.rate)
-	default:
-		return fmt.Sprintf("closed/%s/workers=%d", cfg.dist, cfg.workers)
-	}
-}
-
-// loadRecord turns the run report into a kind "load" trajectory record: a
-// summary row with the headline numbers, plus one row per sweep stage.
-func loadRecord(cfg *loadConfig, r *loadReport, meta perfobs.Meta) *perfobs.Record {
-	rec := perfobs.NewRecord("load", trajectoryLabel(cfg), meta)
-	summary := map[string]float64{
-		"throughput_rps": r.ThroughputRPS,
-		"p50_ns":         float64(r.Latency.P50NS),
-		"p95_ns":         float64(r.Latency.P95NS),
-		"p99_ns":         float64(r.Latency.P99NS),
-		"requests":       float64(r.Requests),
-		"errors":         float64(r.Errors),
-		"omitted":        float64(r.Omitted),
-	}
-	if ratio := r.warmHitRatio(); ratio >= 0 {
-		summary["warm_hit_ratio"] = ratio
-	}
-	if r.OfferedRPS > 0 {
-		summary["offered_rps"] = r.OfferedRPS
-	}
-	if r.KneeRPS > 0 {
-		summary["knee_rps"] = r.KneeRPS
-	}
-	rec.AddRow("summary", summary)
-	for _, s := range r.Sweep {
-		rec.AddRow(fmt.Sprintf("sweep_%.0frps", s.OfferedRPS), map[string]float64{
-			"offered_rps":  s.OfferedRPS,
-			"achieved_rps": s.AchievedRPS,
-			"p50_ns":       float64(s.P50NS),
-			"p99_ns":       float64(s.P99NS),
-			"errors":       float64(s.Errors),
-			"omitted":      float64(s.Omitted),
-		})
-	}
-	return rec
-}
-
-// benchRecord is the BENCH_load.json document: the load report plus a schema
-// tag so trend tooling can tell trajectory records from other BENCH files.
+// benchRecord is the -bench-out document: the load report plus a schema tag
+// naming its format.
 type benchRecord struct {
 	Schema string      `json:"schema"`
 	Report *loadReport `json:"report"`

@@ -1,246 +1,323 @@
-// Command leaperf is the perf-trajectory toolchain: it collects live samples
-// from a running leaserved, stores one JSONL record per run in the
-// append-only trend store (trajectory/ by default), renders per-metric trend
-// tables across commits, diffs two runs, and gates CI on regressions against
-// the recent same-host history.
+// Command leaperf is the repository's perf gate: a paired A/B of the
+// benchmark declared in BENCHMARK.json between a base revision and the
+// working tree.
 //
-// Usage:
+// Usage, from the repository root:
 //
-//	leaperf -report                        # trend tables over trajectory/
-//	leaperf -report -kind load -last 10    # narrow by kind and depth
-//	leaperf -diff run1,run2                # metric-by-metric run comparison
-//	leaperf -regress                       # exit 1 if the newest runs regressed
-//	leaperf -regress -github               # same, with CI ::error annotations
-//	leaperf -collect -url http://127.0.0.1:8311 -duration 10s -label smoke
+//	go run ./cmd/leaperf HEAD^1
+//
+// leaperf exports the base revision under .bench_build/ and removes it on
+// exit. For every workload it runs the benchmark command with --trace 0 in
+// both trees, pairs times for runSeconds each. Both runs of a pair use the
+// same seed, and the side that runs first alternates from pair to pair. It
+// then prints, for each workload and end-to-end metric, both sides' medians
+// with their quartiles, the change/base ratio and a verdict, and exits 1
+// when
+//
+//   - a metric's median on the change is worse than on the base by more than
+//     the metric's bound, while the base's quartile spread is inside that
+//     bound (a wider spread prints "unresolved" and does not fail);
+//   - any run prints "correct":false; or
+//   - the change fails a larger share of its operations than the base.
 package main
 
 import (
+	"bytes"
 	"context"
-	"flag"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"os/exec"
+	"os/signal"
+	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
-	"repro/internal/perfobs"
-	"repro/internal/perfobs/collector"
-	"repro/internal/perfobs/report"
 	"repro/internal/perfobs/stats"
-	"repro/internal/perfobs/store"
 )
 
+// The run plan. At 8 s the base's quartile spreads stay well inside the
+// BENCHMARK.json bounds (at most 12.5% of the median against 25%, 6.1% for
+// RSS against 15%, on two vCPUs), and 6 pairs keep the gate near six
+// minutes there.
+const (
+	pairs      = 6
+	runSeconds = 8
+	baseDir    = ".bench_build/leaperf-base"
+)
+
+// The two sides of every pair.
+const (
+	base = iota
+	change
+)
+
+var sideNames = [2]string{"base", "change"}
+
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	start := time.Now()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	fmt.Printf("leaperf: %s wall time\n", time.Since(start).Round(time.Second))
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "leaperf:", err)
 		os.Exit(1)
 	}
 }
 
-// perfConfig is the parsed flag set.
-type perfConfig struct {
-	dir     string
-	doRep   bool
-	kinds   string
-	metrics string
-	last    int
-	diff    string
-
-	doRegress bool
-	tol       float64
-	baselineN int
-	anyHost   bool
-	github    bool
-
-	doCollect bool
-	url       string
-	interval  time.Duration
-	duration  time.Duration
-	label     string
-	kind      string
+// benchmarkSpec is the part of BENCHMARK.json the gate reads.
+type benchmarkSpec struct {
+	Command   []string       `json:"command"`
+	Workloads []workloadSpec `json:"workloads"`
+	EndToEnd  []metricSpec   `json:"end_to_end"`
 }
 
-// run dispatches one leaperf invocation.
-func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("leaperf", flag.ContinueOnError)
-	cfg := perfConfig{}
-	fs.StringVar(&cfg.dir, "dir", "trajectory", "trend store directory (one JSONL file per record kind)")
-	fs.BoolVar(&cfg.doRep, "report", false, "render per-metric trend tables across the stored runs")
-	fs.StringVar(&cfg.kinds, "kind", "", "comma-separated record kinds to include (default: all)")
-	fs.StringVar(&cfg.metrics, "metrics", "", "comma-separated metrics to table (default: the headline set)")
-	fs.IntVar(&cfg.last, "last", 0, "only the most recent N runs per scenario (0 = all)")
-	fs.StringVar(&cfg.diff, "diff", "", "compare two stored runs by ID: base,current")
-	fs.BoolVar(&cfg.doRegress, "regress", false, "gate: exit nonzero when the newest run of any scenario regressed against its recent same-host history")
-	fs.Float64Var(&cfg.tol, "tol", stats.DefaultTolerance, "regression tolerance band (flag when worse than baseline × this)")
-	fs.IntVar(&cfg.baselineN, "baseline-n", 5, "median-of-N baseline depth for -regress")
-	fs.BoolVar(&cfg.anyHost, "any-host", false, "compare across host fingerprints instead of same-host only")
-	fs.BoolVar(&cfg.github, "github", false, "emit GitHub Actions ::error/::notice annotations")
-	fs.BoolVar(&cfg.doCollect, "collect", false, "sample a running daemon's /metrics and append the result to the store")
-	fs.StringVar(&cfg.url, "url", "http://127.0.0.1:8311", "daemon base URL for -collect")
-	fs.DurationVar(&cfg.interval, "interval", time.Second, "scrape interval for -collect")
-	fs.DurationVar(&cfg.duration, "duration", 10*time.Second, "how long -collect samples")
-	fs.StringVar(&cfg.label, "label", "", "scenario label stored with the collected record")
-	fs.StringVar(&cfg.kind, "collect-kind", "smoke", "record kind -collect appends under")
-	if err := fs.Parse(args); err != nil {
+// workloadSpec names one benchmark workload.
+type workloadSpec struct {
+	Name string `json:"name"`
+}
+
+// metricSpec is one end-to-end metric: which way it improves, and the share
+// of the base's median by which it may worsen.
+type metricSpec struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+}
+
+// runResult is the JSON line a benchmark run ends with.
+type runResult struct {
+	Correct   bool                   `json:"correct"`
+	Attempted int                    `json:"attempted"`
+	Failed    int                    `json:"failed"`
+	Metrics   map[string]metricValue `json:"metrics"`
+}
+
+// metricValue is one metric of a runResult.
+type metricValue struct {
+	Value float64 `json:"value"`
+}
+
+// sides holds one workload's runs on the base and on the change, in pair
+// order, so run i of either side used seed i+1.
+type sides [2][]runResult
+
+// runner runs the benchmark once in tree on one workload and seed.
+type runner func(ctx context.Context, tree, workload string, seed int) (runResult, error)
+
+// run gates the working tree against the base revision named in args.
+func run(ctx context.Context, args []string, w io.Writer) error {
+	if len(args) != 1 || strings.HasPrefix(args[0], "-") {
+		return fmt.Errorf("usage: leaperf <base-revision>, e.g. leaperf HEAD^1")
+	}
+	spec, err := loadSpec("BENCHMARK.json")
+	if err != nil {
 		return err
 	}
-
-	switch {
-	case cfg.doCollect:
-		return runCollect(&cfg, w)
-	case cfg.diff != "":
-		return runDiff(&cfg, w)
-	case cfg.doRegress:
-		return runRegress(&cfg, w)
-	case cfg.doRep:
-		return runReport(&cfg, w)
-	default:
-		return fmt.Errorf("pass -report, -diff base,current, -regress or -collect")
-	}
-}
-
-// loadStore reads the trend store, printing any per-line warnings (corrupt
-// lines are skipped, never fatal — the store is append-only across tool
-// versions).
-func loadStore(cfg *perfConfig, w io.Writer) ([]perfobs.Record, error) {
-	recs, warnings, err := store.Open(cfg.dir).Load()
+	hash, err := exportBase(args[0], baseDir)
+	defer os.RemoveAll(baseDir)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	for _, warn := range warnings {
-		fmt.Fprintf(w, "leaperf: warning: %s\n", warn)
+	fmt.Fprintf(w, "leaperf: base %s (%s) against the working tree: %d pairs × %d s per workload\n",
+		args[0], hash, pairs, runSeconds)
+	runs, err := collect(ctx, w, spec, [2]string{baseDir, "."}, benchRun(spec.Command))
+	if err != nil {
+		return err
 	}
-	return recs, nil
+	return gate(w, spec, runs, args[0])
 }
 
-// splitList parses a comma-separated flag value.
-func splitList(s string) []string {
-	if s == "" {
-		return nil
+// loadSpec reads the benchmark declaration at path.
+func loadSpec(path string) (*benchmarkSpec, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("run leaperf from the repository root: %w", err)
 	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
+	var spec benchmarkSpec
+	if err := json.Unmarshal(data, &spec); err != nil {
+		return nil, fmt.Errorf("parse %s: %w", path, err)
+	}
+	if len(spec.Command) == 0 || len(spec.Workloads) == 0 {
+		return nil, fmt.Errorf("%s names no command or no workload", path)
+	}
+	return &spec, nil
+}
+
+// gate prints the report on runs and returns an error, which makes leaperf
+// exit 1, when any of the gate's rules fails against the base revision rev.
+func gate(w io.Writer, spec *benchmarkSpec, runs map[string]*sides, rev string) error {
+	failures := report(w, spec, runs)
+	if len(failures) > 0 {
+		for _, f := range failures {
+			fmt.Fprintf(w, "leaperf: FAIL: %s\n", f)
 		}
+		return fmt.Errorf("perf gate failed: %d finding(s) against %s", len(failures), rev)
 	}
-	return out
-}
-
-// runReport renders the trend tables.
-func runReport(cfg *perfConfig, w io.Writer) error {
-	recs, err := loadStore(cfg, w)
-	if err != nil {
-		return err
-	}
-	return report.Trend(w, recs, report.TrendOptions{
-		Kinds:   splitList(cfg.kinds),
-		Metrics: splitList(cfg.metrics),
-		Last:    cfg.last,
-	})
-}
-
-// runDiff compares two stored runs by ID.
-func runDiff(cfg *perfConfig, w io.Writer) error {
-	ids := splitList(cfg.diff)
-	if len(ids) != 2 {
-		return fmt.Errorf("-diff wants two run IDs: base,current (got %q)", cfg.diff)
-	}
-	recs, err := loadStore(cfg, w)
-	if err != nil {
-		return err
-	}
-	var base, cur *perfobs.Record
-	for i := range recs {
-		switch recs[i].RunID {
-		case ids[0]:
-			base = &recs[i]
-		case ids[1]:
-			cur = &recs[i]
-		}
-	}
-	if base == nil {
-		return fmt.Errorf("run %q not found under %s", ids[0], cfg.dir)
-	}
-	if cur == nil {
-		return fmt.Errorf("run %q not found under %s", ids[1], cfg.dir)
-	}
-	regressions, err := report.Diff(w, base, cur, report.DiffOptions{Band: stats.Band{Tolerance: cfg.tol}})
-	if err != nil {
-		return err
-	}
-	if regressions > 0 {
-		return fmt.Errorf("%d metric(s) regressed past the %.1fx band", regressions, cfg.tol)
-	}
+	fmt.Fprintf(w, "leaperf: perf gate passed against %s\n", rev)
 	return nil
 }
 
-// runRegress gates the newest run of every scenario against its recent
-// same-host history; notes (scenarios without a usable baseline) never fail
-// the gate, so a fresh host or an empty store stays green.
-func runRegress(cfg *perfConfig, w io.Writer) error {
-	recs, err := loadStore(cfg, w)
+// exportBase writes the tree of revision rev into dir, replacing anything
+// there, and returns the commit hash rev resolves to.
+func exportBase(rev, dir string) (string, error) {
+	out, err := exec.Command("git", "rev-parse", "--verify", "--quiet", rev+"^{commit}").Output()
 	if err != nil {
-		return err
+		return "", fmt.Errorf("resolve revision %q: %w", rev, err)
 	}
-	regs, notes := report.Regress(recs, report.RegressOptions{
-		Band:      stats.Band{Tolerance: cfg.tol},
-		BaselineN: cfg.baselineN,
-		AnyHost:   cfg.anyHost,
-	})
-	for _, note := range notes {
-		if cfg.github {
-			fmt.Fprintf(w, "::notice title=leaperf::%s\n", note)
-		} else {
-			fmt.Fprintf(w, "leaperf: note: %s\n", note)
-		}
+	hash := strings.TrimSpace(string(out))
+	tarball, err := exec.Command("git", "archive", "--format=tar", hash).Output()
+	if err != nil {
+		return "", fmt.Errorf("git archive %s: %w", hash, err)
 	}
-	for _, r := range regs {
-		if cfg.github {
-			fmt.Fprintf(w, "::error title=perf regression::%s\n", r)
-		} else {
-			fmt.Fprintf(w, "leaperf: REGRESSED: %s\n", r)
-		}
+	if err := os.RemoveAll(dir); err != nil {
+		return "", err
 	}
-	if len(regs) > 0 {
-		return fmt.Errorf("%d regression(s) against the stored history (band %.1fx, baseline median of ≤%d runs)",
-			len(regs), cfg.tol, cfg.baselineN)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
 	}
-	fmt.Fprintf(w, "leaperf: no regressions across %d stored run(s) (band %.1fx)\n", len(recs), cfg.tol)
-	return nil
+	untar := exec.Command("tar", "-x", "-C", dir)
+	untar.Stdin = bytes.NewReader(tarball)
+	if msg, err := untar.CombinedOutput(); err != nil {
+		return "", fmt.Errorf("extract %s into %s: %w\n%s", hash, dir, err, msg)
+	}
+	return hash, nil
 }
 
-// runCollect samples the daemon for the configured duration, appends the
-// record to the store, and prints the summary — including the collector's own
-// overhead fraction, which the CI smoke asserts stays under 1%.
-func runCollect(cfg *perfConfig, w io.Writer) error {
-	c, err := collector.New(collector.Config{URL: cfg.url, Interval: cfg.interval})
-	if err != nil {
-		return err
+// benchRun returns a runner that executes the benchmark command and parses
+// the JSON line its standard output ends with.
+func benchRun(command []string) runner {
+	return func(ctx context.Context, tree, workload string, seed int) (runResult, error) {
+		args := append(append([]string(nil), command[1:]...), "--workload", workload,
+			"--seed", strconv.Itoa(seed), "--seconds", strconv.Itoa(runSeconds), "--trace", "0")
+		cmd := exec.CommandContext(ctx, command[0], args...)
+		cmd.Dir = tree
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return runResult{}, fmt.Errorf("%w\n%s", err, stderr.Bytes())
+		}
+		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+		var r runResult
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &r); err != nil {
+			return runResult{}, fmt.Errorf("parse the result line: %w", err)
+		}
+		return r, nil
 	}
-	res, err := c.Run(context.Background(), cfg.duration)
-	if err != nil {
-		return err
+}
+
+// collect runs every workload pairs times in both trees. Pair i runs with
+// seed i+1 on both sides, and the side that runs first alternates, so drift
+// in the host's speed lands on both sides alike.
+func collect(ctx context.Context, w io.Writer, spec *benchmarkSpec, trees [2]string, run runner) (map[string]*sides, error) {
+	runs := make(map[string]*sides, len(spec.Workloads))
+	for _, wl := range spec.Workloads {
+		runs[wl.Name] = &sides{}
 	}
-	if len(res.Samples) == 0 {
-		return fmt.Errorf("no successful scrapes of %s in %s (%d errors)", cfg.url, cfg.duration, res.Errors)
+	n, total := 0, 2*pairs*len(spec.Workloads)
+	for p := 0; p < pairs; p++ {
+		order := [2]int{base, change}
+		if p%2 == 1 {
+			order = [2]int{change, base}
+		}
+		for _, wl := range spec.Workloads {
+			for _, side := range order {
+				r, err := run(ctx, trees[side], wl.Name, p+1)
+				if err != nil {
+					return nil, fmt.Errorf("%s run of %s, seed %d: %w", sideNames[side], wl.Name, p+1, err)
+				}
+				runs[wl.Name][side] = append(runs[wl.Name][side], r)
+				n++
+				fmt.Fprintf(w, "run %2d/%d  %-12s %-6s seed %d  correct=%v failed %d/%d\n",
+					n, total, wl.Name, sideNames[side], p+1, r.Correct, r.Failed, r.Attempted)
+			}
+		}
 	}
-	rec := res.Record(cfg.kind, cfg.label, perfobs.CollectMeta())
-	if err := store.Open(cfg.dir).Append(rec); err != nil {
-		return err
+	return runs, nil
+}
+
+// report prints one row per workload and end-to-end metric, plus each
+// workload's failed ops, and returns the reasons the gate fails.
+func report(w io.Writer, spec *benchmarkSpec, runs map[string]*sides) []string {
+	var failures []string
+	fmt.Fprintf(w, "\n%-12s %-17s %-30s %-30s %7s  %s\n", "workload", "metric",
+		"base median [q1, q3]", "change median [q1, q3]", "ratio", "verdict")
+	for _, wl := range spec.Workloads {
+		s := runs[wl.Name]
+		var attempted, failed [2]int
+		for side := range s {
+			for i, r := range s[side] {
+				attempted[side] += r.Attempted
+				failed[side] += r.Failed
+				if !r.Correct {
+					failures = append(failures, fmt.Sprintf(`%s: %s run with seed %d printed "correct":false`,
+						wl.Name, sideNames[side], i+1))
+				}
+			}
+		}
+		for _, m := range spec.EndToEnd {
+			vals, err := metricRuns(s, m.Name)
+			if err != nil {
+				failures = append(failures, fmt.Sprintf("%s: %v", wl.Name, err))
+				continue
+			}
+			dir := stats.LowerIsBetter
+			if m.Better == "higher" {
+				dir = stats.HigherIsBetter
+			}
+			v := stats.Compare(vals[base], vals[change], dir, m.Bound)
+			if v == stats.Regressed {
+				failures = append(failures, fmt.Sprintf("%s %s regressed: median %s -> %s, worse by more than its bound of %.0f%%",
+					wl.Name, m.Name, num(stats.Median(vals[base])), num(stats.Median(vals[change])), 100*m.Bound))
+			}
+			fmt.Fprintf(w, "%-12s %-17s %-30s %-30s %7.3f  %s\n", wl.Name, m.Name,
+				quartiles(vals[base]), quartiles(vals[change]),
+				stats.Median(vals[change])/stats.Median(vals[base]), v)
+		}
+		verdict := "ok"
+		// The change's failed share exceeds the base's, cross-multiplied.
+		if failed[change]*attempted[base] > failed[base]*attempted[change] {
+			verdict = "FAIL"
+			failures = append(failures, fmt.Sprintf("%s: the change failed %d of %d ops, the base %d of %d",
+				wl.Name, failed[change], attempted[change], failed[base], attempted[base]))
+		}
+		fmt.Fprintf(w, "%-12s %-17s %-30s %-30s %7s  %s\n", wl.Name, "failed ops",
+			fmt.Sprintf("%d of %d", failed[base], attempted[base]),
+			fmt.Sprintf("%d of %d", failed[change], attempted[change]), "", verdict)
 	}
-	s := res.Summarize()
-	fmt.Fprintf(w, "leaperf: %d samples over %.1fs from %s (%d scrape errors)\n",
-		s.Samples, float64(s.ElapsedNS)/1e9, cfg.url, s.Errors)
-	fmt.Fprintf(w, "throughput:      %.1f req/s, warm-hit ratio %.2f, %+.0f errors\n",
-		s.ThroughputRPS, s.WarmHitRatio, s.ErrorsDelta)
-	fmt.Fprintf(w, "process:         rss peak %.1f MiB, heap peak %.1f MiB, goroutines max %.0f\n",
-		s.RSSPeakBytes/(1<<20), s.HeapPeakBytes/(1<<20), s.GoroutinesMax)
-	fmt.Fprintf(w, "gc:              pause p99 %s, pause max %s\n",
-		time.Duration(s.GCPauseP99NS), time.Duration(s.GCPauseMaxNS))
-	fmt.Fprintf(w, "collector cost:  %.4f%% of elapsed (scrape total %s, max %s)\n",
-		100*s.OverheadFraction, time.Duration(s.ScrapeTotalNS), time.Duration(s.ScrapeMaxNS))
-	fmt.Fprintf(w, "overhead_fraction=%.6f\n", s.OverheadFraction)
-	fmt.Fprintf(w, "trajectory: appended %s record %s under %s\n", rec.Kind, rec.RunID, cfg.dir)
-	return nil
+	return failures
+}
+
+// metricRuns returns each side's values of one metric, in run order.
+func metricRuns(s *sides, name string) ([2][]float64, error) {
+	var vals [2][]float64
+	for side := range s {
+		for i, r := range s[side] {
+			v, ok := r.Metrics[name]
+			if !ok {
+				return vals, fmt.Errorf("%s run with seed %d reported no %s", sideNames[side], i+1, name)
+			}
+			vals[side] = append(vals[side], v.Value)
+		}
+	}
+	return vals, nil
+}
+
+// quartiles renders runs as "median [q1, q3]".
+func quartiles(xs []float64) string {
+	return fmt.Sprintf("%s [%s, %s]", num(stats.Median(xs)), num(stats.Quantile(xs, 0.25)), num(stats.Quantile(xs, 0.75)))
+}
+
+// num renders v with four significant digits and no exponent.
+func num(v float64) string {
+	digits := 3
+	if v != 0 {
+		digits = 3 - int(math.Floor(math.Log10(math.Abs(v))))
+	}
+	return strconv.FormatFloat(v, 'f', max(digits, 0), 64)
 }

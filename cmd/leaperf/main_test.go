@@ -2,145 +2,206 @@ package main
 
 import (
 	"bytes"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"path/filepath"
+	"context"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/perfobs"
-	"repro/internal/perfobs/store"
 )
 
-var testHost = perfobs.Host{OS: "linux", Arch: "amd64", GOMAXPROCS: 4, NumCPU: 4, CPUModel: "testcpu"}
-
-// seedStore writes n load records with the given p99 values into a fresh
-// store directory and returns it.
-func seedStore(t *testing.T, p99s []float64) string {
-	t.Helper()
-	dir := t.TempDir()
-	st := store.Open(dir)
-	base := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
-	for i, p99 := range p99s {
-		rec := &perfobs.Record{
-			RunID: fmt.Sprintf("run%02d", i), Commit: "abc1234", GoVersion: "go1.22",
-			Host: testHost, StartedAt: base.Add(time.Duration(i) * time.Hour),
-			Kind: "load", Label: "open/uniform/rate=100",
-		}
-		rec.AddRow("summary", map[string]float64{"p99_ns": p99, "throughput_rps": 100})
-		if err := st.Append(rec); err != nil {
-			t.Fatal(err)
+func TestRunRequiresABaseRevision(t *testing.T) {
+	for _, args := range [][]string{nil, {"HEAD^1", "HEAD"}, {"-regress"}} {
+		var buf bytes.Buffer
+		if err := run(context.Background(), args, &buf); err == nil || !strings.Contains(err.Error(), "usage") {
+			t.Errorf("run(%q) = %v, want a usage error", args, err)
 		}
 	}
-	return dir
 }
 
-func TestReportRendersTrend(t *testing.T) {
-	dir := seedStore(t, []float64{1000, 1100, 900})
+func TestCollectPairsSeedsAndAlternatesSides(t *testing.T) {
+	spec := &benchmarkSpec{Workloads: []workloadSpec{{"serve_hot"}, {"sweep_rsp"}}}
+	type call struct {
+		tree, workload string
+		seed           int
+	}
+	var calls []call
+	fake := func(_ context.Context, tree, workload string, seed int) (runResult, error) {
+		calls = append(calls, call{tree, workload, seed})
+		return runResult{Correct: true, Attempted: 1}, nil
+	}
+	runs, err := collect(context.Background(), &bytes.Buffer{}, spec, [2]string{"B", "C"}, fake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 2*pairs*len(spec.Workloads) {
+		t.Fatalf("%d runs, want %d", len(calls), 2*pairs*len(spec.Workloads))
+	}
+	for i := 0; i < len(calls); i += 2 {
+		first, second := calls[i], calls[i+1]
+		p := i / (2 * len(spec.Workloads))
+		wantFirst := "B"
+		if p%2 == 1 {
+			wantFirst = "C"
+		}
+		if first.tree != wantFirst || second.tree == first.tree {
+			t.Errorf("pair %d ran %s then %s, want %s first", p, first.tree, second.tree, wantFirst)
+		}
+		if first.workload != second.workload || first.seed != p+1 || second.seed != p+1 {
+			t.Errorf("pair %d: %+v and %+v, want one workload at seed %d", p, first, second, p+1)
+		}
+	}
+	for _, wl := range spec.Workloads {
+		if s := runs[wl.Name]; len(s[base]) != pairs || len(s[change]) != pairs {
+			t.Errorf("%s: %d base and %d change runs, want %d each", wl.Name, len(s[base]), len(s[change]), pairs)
+		}
+	}
+}
+
+// syntheticRunner stands in for the benchmark. Every run reports each
+// end-to-end metric of spec at 100 with a noise of at most ±2% that depends
+// on the seed and the tree. On the change tree, workload's values are worse
+// by the factor worse, each in the direction its metric worsens.
+func syntheticRunner(spec *benchmarkSpec, workload string, worse float64) runner {
+	return func(_ context.Context, tree, wl string, seed int) (runResult, error) {
+		k := seed
+		if tree == "change" {
+			k++
+		}
+		r := runResult{Correct: true, Attempted: 1000, Metrics: map[string]metricValue{}}
+		for _, m := range spec.EndToEnd {
+			v := 100 * (1 + 0.02*float64(k%3-1))
+			if tree == "change" && wl == workload {
+				if m.Better == "higher" {
+					v /= worse
+				} else {
+					v *= worse
+				}
+			}
+			r.Metrics[m.Name] = metricValue{v}
+		}
+		return r, nil
+	}
+}
+
+// gateOn runs the whole gate, collection and verdict, on synthetic runs
+// under the repository's own BENCHMARK.json.
+func gateOn(t *testing.T, workload string, worse float64) (*benchmarkSpec, string, error) {
+	t.Helper()
+	spec, err := loadSpec("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := run([]string{"-dir", dir, "-report"}, &buf); err != nil {
-		t.Fatalf("report: %v\n%s", err, buf.String())
+	runs, err := collect(context.Background(), &buf, spec, [2]string{"base", "change"},
+		syntheticRunner(spec, workload, worse))
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "p99_ns") || !strings.Contains(out, "run02") {
-		t.Fatalf("trend output missing table content:\n%s", out)
-	}
+	err = gate(&buf, spec, runs, "HEAD^1")
+	return spec, buf.String(), err
 }
 
 func TestRegressExitsNonzeroOnInjectedSlowdown(t *testing.T) {
-	// Stable history then a 5× p99 jump: the gate must fail and name the run.
-	dir := seedStore(t, []float64{1000, 1050, 980, 1020, 5000})
-	var buf bytes.Buffer
-	err := run([]string{"-dir", dir, "-regress"}, &buf)
+	spec, out, err := gateOn(t, "sweep_rsp", 1.5)
 	if err == nil {
-		t.Fatalf("gate passed an injected 5x slowdown:\n%s", buf.String())
+		t.Fatalf("the gate passed sweep_rsp made 1.5x worse:\n%s", out)
 	}
-	if !strings.Contains(buf.String(), "run04") || !strings.Contains(buf.String(), "p99_ns") {
-		t.Fatalf("regression output does not name the offender:\n%s", buf.String())
+	for _, m := range spec.EndToEnd {
+		if want := "leaperf: FAIL: sweep_rsp " + m.Name + " regressed"; !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "leaperf: FAIL:"); n != len(spec.EndToEnd) {
+		t.Errorf("%d findings, want one per end-to-end metric of sweep_rsp:\n%s", n, out)
 	}
 }
 
 func TestRegressPassesInBandNoise(t *testing.T) {
-	dir := seedStore(t, []float64{1000, 1200, 900, 1100, 1050})
-	var buf bytes.Buffer
-	if err := run([]string{"-dir", dir, "-regress"}, &buf); err != nil {
-		t.Fatalf("gate flagged in-band noise: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "no regressions") {
-		t.Fatalf("missing pass summary:\n%s", buf.String())
-	}
-}
-
-func TestRegressGithubAnnotations(t *testing.T) {
-	dir := seedStore(t, []float64{1000, 1000, 1000, 9000})
-	var buf bytes.Buffer
-	if err := run([]string{"-dir", dir, "-regress", "-github"}, &buf); err == nil {
-		t.Fatal("gate passed")
-	}
-	if !strings.Contains(buf.String(), "::error title=perf regression::") {
-		t.Fatalf("missing ::error annotation:\n%s", buf.String())
-	}
-}
-
-func TestRegressEmptyStoreStaysGreen(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-dir", t.TempDir(), "-regress"}, &buf); err != nil {
-		t.Fatalf("empty store must not fail the gate: %v", err)
-	}
-}
-
-func TestDiffByRunID(t *testing.T) {
-	dir := seedStore(t, []float64{1000, 1100})
-	var buf bytes.Buffer
-	if err := run([]string{"-dir", dir, "-diff", "run00,run01"}, &buf); err != nil {
-		t.Fatalf("diff: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "p99_ns") {
-		t.Fatalf("diff output missing metrics:\n%s", buf.String())
-	}
-	if err := run([]string{"-dir", dir, "-diff", "run00,missing"}, &buf); err == nil {
-		t.Fatal("diff accepted an unknown run ID")
-	}
-}
-
-func TestCollectAppendsRecord(t *testing.T) {
-	var n int
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n++
-		fmt.Fprintf(w, "requests_total %d\ncache_hits_total %d\ncache_misses_total %d\n", n*100, n*50, n*50)
-		fmt.Fprintf(w, "proc_rss_bytes 1048576\nproc_gc_pause_max_ns 1000\nproc_goroutines 5\n")
-	}))
-	defer srv.Close()
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	err := run([]string{"-dir", dir, "-collect", "-url", srv.URL,
-		"-interval", "20ms", "-duration", "120ms", "-label", "unit"}, &buf)
+	_, out, err := gateOn(t, "sweep_rsp", 1.08)
 	if err != nil {
-		t.Fatalf("collect: %v\n%s", err, buf.String())
+		t.Fatalf("the gate failed sweep_rsp made 8%% worse, inside every bound: %v\n%s", err, out)
 	}
-	if !strings.Contains(buf.String(), "overhead_fraction=") {
-		t.Fatalf("collect output missing overhead line:\n%s", buf.String())
-	}
-	recs, warnings, err := store.Open(dir).Load()
-	if err != nil || len(warnings) != 0 {
-		t.Fatalf("load back: %v %v", err, warnings)
-	}
-	if len(recs) != 1 || recs[0].Kind != "smoke" || recs[0].Label != "unit" {
-		t.Fatalf("stored record wrong: %+v", recs)
-	}
-	if recs[0].FindRow("summary") == nil || recs[0].FindRow("proc_rss_bytes") == nil {
-		t.Fatalf("record lacks summary or proc series rows: %+v", recs[0].Rows)
-	}
-	if _, err := filepath.Glob(filepath.Join(dir, "*.jsonl")); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(out, "leaperf: perf gate passed against HEAD^1") ||
+		strings.Contains(out, "REGRESSED") || strings.Contains(out, "unresolved") {
+		t.Errorf("want every verdict ok and the gate passed:\n%s", out)
 	}
 }
 
-func TestRunRequiresAMode(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-dir", t.TempDir()}, &buf); err == nil {
-		t.Fatal("bare invocation must ask for a mode")
+// runSet returns six correct runs whose throughput and CPU per op have
+// medians thr and cpu and quartiles at ±spread/2 of them.
+func runSet(thr, cpu, spread float64) []runResult {
+	var out []runResult
+	for _, k := range []float64{-2, -1, -1, 1, 1, 2} {
+		f := 1 + k*spread/2
+		out = append(out, runResult{Correct: true, Attempted: 1000, Metrics: map[string]metricValue{
+			"throughput_ops_s": {thr * f}, "cpu_us_per_op": {cpu * f}}})
+	}
+	return out
+}
+
+func TestReportVerdicts(t *testing.T) {
+	spec := &benchmarkSpec{
+		Workloads: []workloadSpec{{"sweep_rsp"}},
+		EndToEnd: []metricSpec{
+			{Name: "throughput_ops_s", Better: "higher", Bound: 0.25},
+			{Name: "cpu_us_per_op", Better: "lower", Bound: 0.25},
+		},
+	}
+	// Each rule alone: allocbench prints "correct":false exactly when an op
+	// failed, but the gate checks the two separately.
+	wrong := runSet(100, 1000, 0.04)
+	wrong[3].Correct = false
+	failedMore := runSet(100, 1000, 0.04)
+	failedMore[0].Failed = 2
+	cases := []struct {
+		name         string
+		base, change []runResult
+		wantFail     []string // substrings of the failures, none when empty
+		wantOut      string
+	}{
+		{"unchanged", runSet(100, 1000, 0.04), runSet(101, 990, 0.04), nil, "ok"},
+		{"inside the bound", runSet(100, 1000, 0.04), runSet(80, 1200, 0.04), nil, "ok"},
+		{"resolved regression, lower is better", runSet(100, 1000, 0.04), runSet(100, 1500, 0.04),
+			[]string{"sweep_rsp cpu_us_per_op regressed"}, "REGRESSED"},
+		{"resolved regression, higher is better", runSet(100, 1000, 0.04), runSet(60, 1000, 0.04),
+			[]string{"sweep_rsp throughput_ops_s regressed"}, "REGRESSED"},
+		{"parent spread wider than the bound", runSet(100, 1000, 0.6), runSet(60, 1500, 0.04), nil, "unresolved"},
+		{"a run printed correct:false", runSet(100, 1000, 0.04), wrong,
+			[]string{`sweep_rsp: change run with seed 4 printed "correct":false`}, "ok"},
+		{"higher failed share on the change", runSet(100, 1000, 0.04), failedMore,
+			[]string{"sweep_rsp: the change failed 2 of 6000 ops, the base 0 of 6000"}, "FAIL"},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		failures := report(&buf, spec, map[string]*sides{"sweep_rsp": {c.base, c.change}})
+		if len(failures) != len(c.wantFail) {
+			t.Errorf("%s: failures %q, want %d", c.name, failures, len(c.wantFail))
+			continue
+		}
+		for i, want := range c.wantFail {
+			if !strings.Contains(failures[i], want) {
+				t.Errorf("%s: failure %q does not contain %q", c.name, failures[i], want)
+			}
+		}
+		if !strings.Contains(buf.String(), c.wantOut) {
+			t.Errorf("%s: report lacks %q:\n%s", c.name, c.wantOut, buf.String())
+		}
+	}
+}
+
+func TestReportNamesAMissingMetric(t *testing.T) {
+	spec := &benchmarkSpec{Workloads: []workloadSpec{{"serve_hot"}},
+		EndToEnd: []metricSpec{{Name: "rss_peak_mib", Better: "lower", Bound: 0.15}}}
+	s := runSet(100, 1000, 0.04)
+	failures := report(&bytes.Buffer{}, spec, map[string]*sides{"serve_hot": {s, s}})
+	if len(failures) != 1 || !strings.Contains(failures[0], "reported no rss_peak_mib") {
+		t.Errorf("failures %q, want one naming the missing metric", failures)
+	}
+}
+
+func TestNum(t *testing.T) {
+	for v, want := range map[float64]string{92252.4: "92252", 6857.43: "6857", 691.84: "691.8",
+		15.453: "15.45", 0.0088153: "0.008815", 0: "0.000"} {
+		if got := num(v); got != want {
+			t.Errorf("num(%v) = %q, want %q", v, got, want)
+		}
 	}
 }

@@ -18,11 +18,6 @@ var timeAllowed = map[string]bool{
 	// intended-start latency measurement; its *schedules* stay deterministic
 	// (seeded generators), only the measurement reads the clock.
 	"internal/workload/generator": true,
-	// Perf-trajectory records are timestamped provenance by definition, and
-	// the collector paces scrapes and measures its own overhead; neither
-	// feeds allocation results, so replayability is unaffected.
-	"internal/perfobs":           true,
-	"internal/perfobs/collector": true,
 }
 
 // randConstructors are the math/rand package-level names that do NOT touch

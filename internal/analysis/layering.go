@@ -41,16 +41,11 @@ var layerRank = map[string]int{
 	"internal/viz":             7,
 	"internal/sweep":           7,
 	"internal/simulate":        7,
-	// The perf-observability stack: the verdict kit (stats) is a leaf, the
-	// record schema sits above it, and the store/collector/report layers build
-	// strictly upward. Nothing here may touch the serve stack — the collector
-	// reaches a daemon only over HTTP, so a perf regression in perfobs can
-	// never deadlock or slow the serving path it is measuring.
-	"internal/perfobs/stats":     0,
-	"internal/perfobs":           1,
-	"internal/perfobs/store":     2,
-	"internal/perfobs/collector": 2,
-	"internal/perfobs/report":    3,
+	// Perf provenance and the perf gate's statistics: the statistics are a
+	// leaf and the provenance stamp sits above them. Neither may touch the
+	// serve stack it helps to measure.
+	"internal/perfobs/stats": 0,
+	"internal/perfobs":       1,
 	// The serving stack: the pure request engine sits below the shard router
 	// and the HTTP transport; shard and transport share a rank, so neither
 	// can import the other — both compose only downward through the engine.

@@ -1,76 +1,20 @@
-// Package perfobs is the schema layer of the continuous perf-observability
-// subsystem: the append-only trajectory Record every perf tool in the repo
-// emits (leabench benchmark snapshots, leaload run reports, the leaperf
-// collector's time-series summaries, the CI smoke), plus the provenance each
-// record carries — commit hash, dirty flag, Go version and a host
-// fingerprint — so a stored number is attributable to the code and machine
-// that produced it instead of being a context-free point-in-time snapshot.
-//
-// The sub-packages divide the subsystem: perfobs/stats is the shared
-// median/tolerance-band verdict kit, perfobs/store appends and merges JSONL
-// records under trajectory/, perfobs/collector scrapes a running leaserved's
-// /metrics into typed samples, and perfobs/report renders trend tables and
-// banded regression verdicts over the stored history. cmd/leaperf fronts the
-// whole stack.
+// Package perfobs stamps perf reports with their provenance: the commit and
+// dirty flag they were built from, the Go version, and a fingerprint of the
+// host they ran on, so a stored number names the code and machine that
+// produced it. BENCH_sweep.json (leabench -json) and leaload's reports carry
+// this stamp. The sub-package perfobs/stats holds the medians, quartiles and
+// paired verdict of the repository's perf gate, cmd/leaperf.
 package perfobs
 
 import (
-	"crypto/rand"
-	"encoding/hex"
-	"fmt"
 	"os"
 	"os/exec"
 	"runtime"
 	"strings"
-	"time"
 )
 
-// Record is one run's entry in the append-only trajectory: provenance plus a
-// flat list of named metric rows. Records are written one-per-line as JSONL
-// by perfobs/store; unknown fields are ignored on read, so the schema can
-// grow without breaking stored history.
-type Record struct {
-	// RunID uniquely names this run (timestamp plus random suffix).
-	RunID string `json:"run_id"`
-	// Commit is the git commit hash the run was built from ("unknown" when
-	// git is unavailable).
-	Commit string `json:"commit"`
-	// Dirty reports uncommitted changes in the working tree at run time.
-	Dirty bool `json:"dirty"`
-	// GoVersion is runtime.Version() of the producing binary.
-	GoVersion string `json:"go_version"`
-	// Host fingerprints the producing machine; regression gates only compare
-	// records whose fingerprints match, because cross-host perf deltas are
-	// hardware, not regressions.
-	Host Host `json:"host_fingerprint"`
-	// StartedAt is the run's UTC start time.
-	StartedAt time.Time `json:"started_at"`
-	// Kind buckets records into trend families: "bench", "load", "smoke", …
-	// Each kind gets its own JSONL file under trajectory/.
-	Kind string `json:"kind"`
-	// Label distinguishes scenarios within a kind (e.g. a load record's loop/
-	// distribution/rate); trends and gates only ever compare rows across
-	// records sharing kind and label.
-	Label string `json:"label,omitempty"`
-	// Rows carries the run's measurements, one named row per benchmark /
-	// sweep stage / series.
-	Rows []Row `json:"rows"`
-}
-
-// Row is one named measurement bundle inside a Record: a benchmark name with
-// its ns/allocs/bytes, a load summary with its throughput and quantiles, or a
-// collector series with its first/last/min/max.
-type Row struct {
-	// Name identifies the row within its record ("sweep_warm", "summary",
-	// "proc_rss_bytes", …).
-	Name string `json:"name"`
-	// Metrics maps metric name to value; perfobs/report decides per name
-	// whether lower or higher is better.
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// Host is the machine fingerprint stored with every record: enough to decide
-// whether two records' numbers are comparable at all.
+// Host is the machine fingerprint stamped on every report: enough to tell
+// whether two reports' numbers came from comparable machines.
 type Host struct {
 	// OS and Arch are GOOS/GOARCH of the producing binary.
 	OS   string `json:"os"`
@@ -83,14 +27,8 @@ type Host struct {
 	CPUModel string `json:"cpu_model,omitempty"`
 }
 
-// Key reduces the fingerprint to the comparability class regression gates
-// group by: same OS/arch, same CPU model, same scheduler width.
-func (h Host) Key() string {
-	return fmt.Sprintf("%s/%s p%d cpu=%s", h.OS, h.Arch, h.GOMAXPROCS, h.CPUModel)
-}
-
 // Meta is the provenance block shared by every emitter: what CollectMeta
-// gathers once per process and each record copies.
+// gathers once per process and each report copies.
 type Meta struct {
 	// Commit and Dirty locate the run in history ("unknown"/false when the
 	// producing directory is not a git checkout).
@@ -143,65 +81,4 @@ func cpuModel() string {
 		}
 	}
 	return ""
-}
-
-// NewRecord builds a record skeleton for kind/label stamped with meta and the
-// current time; the caller fills Rows and hands it to a store.
-func NewRecord(kind, label string, meta Meta) *Record {
-	now := time.Now().UTC()
-	return &Record{
-		RunID:     newRunID(now),
-		Commit:    meta.Commit,
-		Dirty:     meta.Dirty,
-		GoVersion: meta.GoVersion,
-		Host:      meta.Host,
-		StartedAt: now,
-		Kind:      kind,
-		Label:     label,
-	}
-}
-
-// newRunID builds a readable, collision-resistant run identifier:
-// UTC timestamp plus four random bytes.
-func newRunID(now time.Time) string {
-	var suffix [4]byte
-	// crypto/rand cannot fail on the supported platforms; a zero suffix on a
-	// hypothetical failure still leaves the timestamp distinguishing runs.
-	_, _ = rand.Read(suffix[:])
-	return now.Format("20060102T150405") + "-" + hex.EncodeToString(suffix[:])
-}
-
-// Validate checks the invariants every stored record must satisfy; the store
-// refuses to append and the parser refuses to accept records that fail it.
-func (r *Record) Validate() error {
-	if r.Kind == "" {
-		return fmt.Errorf("perfobs: record has no kind")
-	}
-	if strings.ContainsAny(r.Kind, "/\\ \t\n") {
-		return fmt.Errorf("perfobs: kind %q must be a bare file-name-safe token", r.Kind)
-	}
-	if r.RunID == "" {
-		return fmt.Errorf("perfobs: record has no run_id")
-	}
-	return nil
-}
-
-// AddRow appends a named metric row, copying the map so callers can reuse
-// their scratch.
-func (r *Record) AddRow(name string, metrics map[string]float64) {
-	m := make(map[string]float64, len(metrics))
-	for k, v := range metrics {
-		m[k] = v
-	}
-	r.Rows = append(r.Rows, Row{Name: name, Metrics: m})
-}
-
-// FindRow returns the first row with the given name, or nil.
-func (r *Record) FindRow(name string) *Row {
-	for i := range r.Rows {
-		if r.Rows[i].Name == name {
-			return &r.Rows[i]
-		}
-	}
-	return nil
 }

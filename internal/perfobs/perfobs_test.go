@@ -1,10 +1,6 @@
 package perfobs
 
-import (
-	"encoding/json"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestCollectMetaFillsRuntimeFields(t *testing.T) {
 	m := CollectMeta()
@@ -17,71 +13,5 @@ func TestCollectMetaFillsRuntimeFields(t *testing.T) {
 	// Commit is either a hex hash (this repo is a checkout) or "unknown".
 	if m.Commit != "unknown" && len(m.Commit) < 7 {
 		t.Fatalf("odd commit %q", m.Commit)
-	}
-}
-
-func TestNewRecordAndValidate(t *testing.T) {
-	meta := CollectMeta()
-	r := NewRecord("bench", "leabench", meta)
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if r.StartedAt.IsZero() || !strings.Contains(r.RunID, "-") {
-		t.Fatalf("skeleton incomplete: %+v", r)
-	}
-	if r.Commit != meta.Commit || r.GoVersion != meta.GoVersion {
-		t.Fatalf("meta not copied: %+v", r)
-	}
-	r2 := NewRecord("bench", "", meta)
-	if r.RunID == r2.RunID {
-		t.Fatal("run IDs collide")
-	}
-}
-
-func TestValidateRejectsUnsafeKinds(t *testing.T) {
-	for _, kind := range []string{"", "a/b", "a b", "a\tb", "a\nb", `a\b`} {
-		r := NewRecord(kind, "", Meta{})
-		if err := r.Validate(); err == nil {
-			t.Errorf("kind %q accepted", kind)
-		}
-	}
-}
-
-func TestRowHelpers(t *testing.T) {
-	r := NewRecord("load", "", Meta{})
-	src := map[string]float64{"x": 1}
-	r.AddRow("summary", src)
-	src["x"] = 99 // the record must hold a copy
-	if got := r.FindRow("summary"); got == nil || got.Metrics["x"] != 1 {
-		t.Fatalf("AddRow aliased the caller's map: %+v", r.Rows)
-	}
-	if r.FindRow("absent") != nil {
-		t.Fatal("FindRow invented a row")
-	}
-}
-
-func TestHostKeyDistinguishesMachines(t *testing.T) {
-	a := Host{OS: "linux", Arch: "amd64", GOMAXPROCS: 4, CPUModel: "x"}
-	b := a
-	b.GOMAXPROCS = 8
-	if a.Key() == b.Key() {
-		t.Fatal("different GOMAXPROCS produced the same host key")
-	}
-}
-
-func TestRecordJSONSchema(t *testing.T) {
-	// The on-disk field names are a contract (ISSUE schema): run_id, commit,
-	// dirty, go_version, host_fingerprint, started_at, kind, rows.
-	r := NewRecord("bench", "l", CollectMeta())
-	r.AddRow("a", map[string]float64{"x": 1})
-	data, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{`"run_id"`, `"commit"`, `"dirty"`, `"go_version"`,
-		`"host_fingerprint"`, `"started_at"`, `"kind"`, `"rows"`} {
-		if !strings.Contains(string(data), field) {
-			t.Errorf("marshalled record lacks %s: %s", field, data)
-		}
 	}
 }

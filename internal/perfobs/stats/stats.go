@@ -1,52 +1,45 @@
-// Package stats holds the small statistics kit the perf gates share: medians
-// over repeated measurements and a multiplicative tolerance band that turns a
-// (baseline, current) pair into a three-way verdict. Both `leabench -gate`
-// and `leaperf -regress` judge regressions through exactly this code, so the
-// two gates cannot drift apart on what "confidently worse" means.
+// Package stats holds the statistics of the repository's perf gate,
+// cmd/leaperf: quantiles over repeated benchmark runs and the verdict that
+// judges one metric's runs on a change against its runs on the parent.
 //
-// The confidence model is deliberately simple and robust: a baseline is the
-// median of N independent measurements (the median discards one-off scheduler
-// or GC outliers without assuming a distribution), and a measurement only
-// counts as a regression when it lands outside a generous multiplicative band
-// around that median. Anything inside the band is noise by definition;
-// anything outside it in the good direction is an improvement worth noticing
-// but never a failure.
+// The verdict is the no-regression rule PR review applies to a paired
+// benchmark A/B. A metric regresses when the change's median is worse than
+// the parent's by more than the metric's bound. That verdict needs the
+// parent's own runs to agree: when the distance between their quartiles,
+// relative to their median, is wider than the bound, the metric is
+// unresolved, unless every run of the change reads better than every run of
+// the parent.
 package stats
 
 import "sort"
 
 // Direction says which way a metric improves: latencies and footprints go
-// down, throughputs and hit ratios go up.
+// down, throughputs go up.
 type Direction int
 
 // The two metric polarities.
 const (
-	// LowerIsBetter marks metrics like latency, ns/op, allocs and RSS.
+	// LowerIsBetter marks metrics like latency, CPU per op and RSS.
 	LowerIsBetter Direction = iota
-	// HigherIsBetter marks metrics like throughput and warm-hit ratio.
+	// HigherIsBetter marks metrics like throughput.
 	HigherIsBetter
 )
 
-// String renders the direction for reports.
-func (d Direction) String() string {
-	if d == HigherIsBetter {
-		return "higher-is-better"
-	}
-	return "lower-is-better"
-}
-
-// Verdict classifies a measurement against a banded baseline.
+// Verdict classifies a change's runs of one metric against the parent's.
 type Verdict int
 
-// The three verdicts Compare can reach.
+// The verdicts Compare can reach.
 const (
-	// Within means the measurement is inside the tolerance band: noise.
+	// Within means the change's median is inside the bound: no regression.
 	Within Verdict = iota
-	// Improved means outside the band in the good direction.
+	// Improved means better than the parent by more than the bound.
 	Improved
-	// Regressed means outside the band in the bad direction — the only
-	// verdict a gate fails on.
+	// Regressed means worse than the parent by more than the bound while the
+	// parent's runs agree to within it — the only verdict a gate fails on.
 	Regressed
+	// Unresolved means the parent's runs spread wider than the bound, so no
+	// move inside that spread can be told from noise.
+	Unresolved
 )
 
 // String renders the verdict for reports.
@@ -56,73 +49,70 @@ func (v Verdict) String() string {
 		return "improved"
 	case Regressed:
 		return "REGRESSED"
+	case Unresolved:
+		return "unresolved"
 	default:
 		return "ok"
 	}
 }
 
-// Band is a multiplicative tolerance band around a baseline value: a
-// measurement must move by more than a factor of Tolerance (in either
-// direction) before it stops counting as noise. Tolerances at or below 1
-// select DefaultTolerance.
-type Band struct {
-	// Tolerance is the band half-width as a ratio, e.g. 2.0 = "within 2× of
-	// the baseline either way".
-	Tolerance float64
-}
-
-// DefaultTolerance is the band applied when none is configured: generous
-// enough that run-to-run noise on a shared machine stays inside it, tight
-// enough that a genuine 5× regression cannot hide. It must sit strictly
-// above 2: the serving stack's latency quantiles come from power-of-two
-// histogram buckets, so pure quantization jitter moves them in exact 2×
-// steps — a 2.0 band would flag a one-bucket wobble as a regression, while
-// 2.5 absorbs one bucket and still fails a genuine two-bucket (4×) move.
-const DefaultTolerance = 2.5
-
-// tol returns the effective tolerance.
-func (b Band) tol() float64 {
-	if b.Tolerance <= 1 {
-		return DefaultTolerance
-	}
-	return b.Tolerance
-}
-
-// Compare judges cur against base under the band, direction-aware. A
-// non-positive baseline cannot anchor a ratio, so it always yields Within —
-// gates that care about exact zeroes (the strict zero-alloc rule in
-// `leabench -gate`) special-case them before calling Compare.
-func (b Band) Compare(base, cur float64, dir Direction) Verdict {
-	if base <= 0 {
-		return Within
-	}
-	t := b.tol()
-	worse, better := cur > base*t, cur < base/t
-	if dir == HigherIsBetter {
-		worse, better = cur < base/t, cur > base*t
-	}
-	switch {
-	case worse:
-		return Regressed
-	case better:
-		return Improved
-	default:
-		return Within
-	}
-}
-
-// Median returns the median of xs (the mean of the middle two for an even
-// count), or 0 for an empty slice. xs is not modified.
-func Median(xs []float64) float64 {
+// Quantile returns the q-quantile of xs (0 ≤ q ≤ 1), interpolating linearly
+// between the order statistics around rank q·(n−1), or 0 for an empty slice.
+// xs is not modified.
+func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
 	s := make([]float64, len(xs))
 	copy(s, xs)
 	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
+	pos := q * float64(len(s)-1)
+	i := int(pos)
+	if i >= len(s)-1 {
+		return s[len(s)-1]
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+}
+
+// Median returns the median of xs (the mean of the middle two for an even
+// count), or 0 for an empty slice. xs is not modified.
+func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
+
+// spread returns the distance between the quartiles of xs relative to its
+// median: the run-to-run noise a bound is checked against.
+func spread(xs []float64) float64 {
+	return (Quantile(xs, 0.75) - Quantile(xs, 0.25)) / Median(xs)
+}
+
+// Compare judges a change's runs of one metric against the parent's runs
+// under a bound given as a fraction of the parent's median (0.25 = 25%).
+func Compare(parent, change []float64, dir Direction, bound float64) Verdict {
+	mp := Median(parent)
+	worse := (Median(change) - mp) / mp
+	if dir == HigherIsBetter {
+		worse = -worse
+	}
+	if spread(parent) > bound && !allBetter(parent, change, dir) {
+		return Unresolved
+	}
+	switch {
+	case worse > bound:
+		return Regressed
+	case worse < -bound:
+		return Improved
+	default:
+		return Within
+	}
+}
+
+// allBetter reports whether every run of change reads better than every run
+// of parent.
+func allBetter(parent, change []float64, dir Direction) bool {
+	if len(parent) == 0 || len(change) == 0 {
+		return false
+	}
+	if dir == HigherIsBetter {
+		return Quantile(change, 0) > Quantile(parent, 1)
+	}
+	return Quantile(change, 1) < Quantile(parent, 0)
 }

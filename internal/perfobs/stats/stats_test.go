@@ -26,64 +26,78 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestBandCompareLowerIsBetter(t *testing.T) {
-	b := Band{Tolerance: 2.0}
+func TestQuantile(t *testing.T) {
+	six := []float64{60, 10, 50, 20, 40, 30}
 	cases := []struct {
-		base, cur float64
-		want      Verdict
+		q, want float64
 	}{
-		{100, 100, Within},
-		{100, 199, Within},
-		{100, 201, Regressed},
-		{100, 51, Within},
-		{100, 49, Improved},
-		{0, 50, Within},  // no ratio from a zero baseline
-		{-1, 50, Within}, // or a negative one
+		{0, 10},
+		{0.25, 22.5}, // rank 1.25 between 20 and 30
+		{0.5, 35},
+		{0.75, 47.5}, // rank 3.75 between 40 and 50
+		{1, 60},
 	}
 	for _, c := range cases {
-		if got := b.Compare(c.base, c.cur, LowerIsBetter); got != c.want {
-			t.Errorf("Compare(%v, %v, lower) = %v, want %v", c.base, c.cur, got, c.want)
+		if got := Quantile(six, c.q); got != c.want {
+			t.Errorf("Quantile(%v, %v) = %v, want %v", six, c.q, got, c.want)
+		}
+	}
+	if got := spread(six); got != 25.0/35 {
+		t.Errorf("spread(%v) = %v, want %v", six, got, 25.0/35)
+	}
+}
+
+// runs returns six runs with median m and quartiles m·(1 ± width/2).
+func runs(m, width float64) []float64 {
+	d := m * width / 2
+	return []float64{m - 2*d, m - d, m - d, m + d, m + d, m + 2*d}
+}
+
+func TestCompareLowerIsBetter(t *testing.T) {
+	parent := runs(100, 0.04)
+	cases := []struct {
+		name   string
+		parent []float64
+		change []float64
+		want   Verdict
+	}{
+		{"unchanged", parent, runs(100, 0.04), Within},
+		{"worse inside the bound", parent, runs(124, 0.04), Within},
+		{"worse past the bound", parent, runs(126, 0.04), Regressed},
+		{"better past the bound", parent, runs(74, 0.04), Improved},
+		{"parent spread wider than the bound", runs(100, 0.6), runs(150, 0.04), Unresolved},
+		{"wide spread, every change run better", runs(100, 0.6), runs(20, 0.04), Improved},
+		{"wide spread, change runs overlap", runs(100, 0.6), runs(90, 0.04), Unresolved},
+	}
+	for _, c := range cases {
+		if got := Compare(c.parent, c.change, LowerIsBetter, 0.25); got != c.want {
+			t.Errorf("%s: Compare = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
 
-func TestBandCompareHigherIsBetter(t *testing.T) {
-	b := Band{Tolerance: 2.0}
+func TestCompareHigherIsBetter(t *testing.T) {
+	parent := runs(1000, 0.04)
 	cases := []struct {
-		base, cur float64
-		want      Verdict
+		name   string
+		change []float64
+		want   Verdict
 	}{
-		{1000, 1000, Within},
-		{1000, 501, Within},
-		{1000, 499, Regressed},
-		{1000, 2001, Improved},
+		{"unchanged", runs(1000, 0.04), Within},
+		{"fewer ops inside the bound", runs(760, 0.04), Within},
+		{"fewer ops past the bound", runs(740, 0.04), Regressed},
+		{"more ops past the bound", runs(1260, 0.04), Improved},
 	}
 	for _, c := range cases {
-		if got := b.Compare(c.base, c.cur, HigherIsBetter); got != c.want {
-			t.Errorf("Compare(%v, %v, higher) = %v, want %v", c.base, c.cur, got, c.want)
-		}
-	}
-}
-
-func TestBandDefaultTolerance(t *testing.T) {
-	// A zero/absurd tolerance falls back to the default rather than flagging
-	// every measurement.
-	for _, tl := range []float64{0, 0.5, 1.0, -3} {
-		b := Band{Tolerance: tl}
-		if got := b.Compare(100, 100*DefaultTolerance*0.99, LowerIsBetter); got != Within {
-			t.Errorf("tolerance %v: just-inside-default measurement = %v, want Within", tl, got)
-		}
-		if got := b.Compare(100, 100*DefaultTolerance*1.01, LowerIsBetter); got != Regressed {
-			t.Errorf("tolerance %v: outside-default measurement = %v, want Regressed", tl, got)
+		if got := Compare(parent, c.change, HigherIsBetter, 0.25); got != c.want {
+			t.Errorf("%s: Compare = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
 
 func TestVerdictStrings(t *testing.T) {
-	if Within.String() != "ok" || Improved.String() != "improved" || Regressed.String() != "REGRESSED" {
-		t.Errorf("unexpected verdict strings: %v %v %v", Within, Improved, Regressed)
-	}
-	if LowerIsBetter.String() == HigherIsBetter.String() {
-		t.Error("directions render identically")
+	if Within.String() != "ok" || Improved.String() != "improved" ||
+		Regressed.String() != "REGRESSED" || Unresolved.String() != "unresolved" {
+		t.Errorf("unexpected verdict strings: %v %v %v %v", Within, Improved, Regressed, Unresolved)
 	}
 }

@@ -314,32 +314,6 @@ func (r *Registry) writeText(w io.Writer, suffix string) error {
 	return nil
 }
 
-// SnapshotMap renders every metric as one flat name→value map — the JSON
-// mirror of WriteText: counters and gauges under their own names, histograms
-// expanded into _count/_sum_ns/_p50_ns/_p95_ns/_p99_ns entries. The two
-// renderings share names by construction, so a dashboard reading the JSON
-// variant and a scraper parsing the text page always agree.
-func (r *Registry) SnapshotMap() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := make(map[string]int64, len(r.counters)+len(r.gauges)+5*len(r.histograms))
-	for name, c := range r.counters {
-		m[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		m[name] = g.Value()
-	}
-	for name, h := range r.histograms {
-		s := h.Snapshot()
-		m[name+"_count"] = s.Count
-		m[name+"_sum_ns"] = s.SumNS
-		m[name+"_p50_ns"] = s.P50NS
-		m[name+"_p95_ns"] = s.P95NS
-		m[name+"_p99_ns"] = s.P99NS
-	}
-	return m
-}
-
 // renderLines formats every metric as an unsorted exposition line, under the
 // registry lock.
 func (r *Registry) renderLines(suffix string) []string {

@@ -14,8 +14,8 @@ import (
 
 // ProcStats is one sample of process-wide health: resident set size, live
 // heap, goroutine count, GC cycle count and GC pause quantiles. It is sampled
-// at scrape time (not continuously), so the numbers a human curl sees and the
-// numbers the leaperf collector stores are the same reading.
+// at scrape time (not continuously), so every scrape of /metrics reads the
+// process as it is at that moment.
 type ProcStats struct {
 	// RSSBytes is the resident set size from /proc/self/statm, or 0 where
 	// that file is unavailable (non-Linux).
@@ -155,8 +155,8 @@ func (s ProcStats) Metrics() map[string]int64 {
 // WriteProcMetrics samples the process stats and appends them to a /metrics
 // text exposition as sorted "name value" lines. Sharded deployments call this
 // once per page, after the per-shard registries: the gauges are process-wide,
-// so emitting them per shard would double-count under the collector's
-// labelled-series summing.
+// so emitting them per shard would double-count under a scraper that sums
+// labelled series.
 func WriteProcMetrics(w io.Writer) error {
 	m := SampleProc().Metrics()
 	names := make([]string, 0, len(m))

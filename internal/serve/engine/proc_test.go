@@ -31,9 +31,8 @@ func TestSampleProcBasics(t *testing.T) {
 }
 
 func TestProcStatsMetricsNames(t *testing.T) {
-	// The metric names are the contract between the /metrics page and the
-	// leaperf collector's proc-series list; renaming one silently drops its
-	// trajectory envelope.
+	// The metric names are the /metrics page's contract with its scrapers;
+	// renaming one silently drops that series from their dashboards.
 	m := ProcStats{RSSBytes: 1, HeapLiveBytes: 2, Goroutines: 3, GCCycles: 4,
 		GCPauseP50NS: 5, GCPauseP99NS: 6, GCPauseMaxNS: 7}.Metrics()
 	want := map[string]int64{

@@ -219,10 +219,6 @@ func (e *Engine) StatsJSON() any { return e.Snapshot() }
 // WriteMetrics renders the engine's metrics in the text exposition format.
 func (e *Engine) WriteMetrics(w io.Writer) error { return e.metrics.WriteText(w) }
 
-// MetricsJSON returns the engine's metrics as a flat name→value map, the
-// machine-readable twin of WriteMetrics (served as /metrics?format=json).
-func (e *Engine) MetricsJSON() any { return e.metrics.SnapshotMap() }
-
 // Allocate runs one request through the admission queue and worker pool. It
 // returns ErrOverloaded when the queue is full, ErrClosed after Close,
 // context errors when the caller's or the per-request deadline expires, a

@@ -144,18 +144,3 @@ func (r *Router) WriteMetrics(w io.Writer) error {
 	}
 	return nil
 }
-
-// MetricsJSON mirrors WriteMetrics for /metrics?format=json: a single shard
-// returns its flat name→value map unchanged (back-compatible with the
-// unsharded daemon), a fleet nests each shard's map under "shard_<i>" keys —
-// the JSON analogue of the text page's {shard="i"} labels.
-func (r *Router) MetricsJSON() any {
-	if len(r.shards) == 1 {
-		return r.shards[0].MetricsJSON()
-	}
-	out := make(map[string]any, len(r.shards))
-	for i, s := range r.shards {
-		out["shard_"+strconv.Itoa(i)] = s.MetricsJSON()
-	}
-	return out
-}

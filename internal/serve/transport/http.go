@@ -28,9 +28,6 @@ type Service interface {
 	StatsJSON() any
 	// WriteMetrics renders the /metrics text exposition.
 	WriteMetrics(w io.Writer) error
-	// MetricsJSON returns the same metrics as a JSON-marshallable value, the
-	// /metrics?format=json document body.
-	MetricsJSON() any
 }
 
 // errorBody is the JSON error envelope every non-2xx response carries.
@@ -101,13 +98,6 @@ func NewMux(svc Service) *http.ServeMux {
 		// once per page, at scrape time — rather than inside the per-shard
 		// registries, where a sharded deployment would repeat them per shard
 		// and a label-summing scraper would multiply them by the shard count.
-		if r.URL.Query().Get("format") == "json" {
-			writeJSON(w, http.StatusOK, map[string]any{
-				"metrics": svc.MetricsJSON(),
-				"proc":    engine.SampleProc().Metrics(),
-			})
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
 		_ = svc.WriteMetrics(w)

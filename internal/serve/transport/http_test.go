@@ -29,7 +29,6 @@ func (s *stubService) WriteMetrics(w io.Writer) error {
 	_, err := io.WriteString(w, "x 1\n")
 	return err
 }
-func (s *stubService) MetricsJSON() any { return map[string]int64{"x": 1} }
 
 const validBody = `{"program":"task t\nblock b\nin a b\nc = a + b\nout c\nend\n","options":{"registers":3}}`
 
@@ -135,9 +134,9 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMetricsTextIncludesProcGauges pins the text page contract the leaperf
-// collector scrapes: backend series first, then the process-wide proc_*
-// gauges exactly once.
+// TestMetricsTextIncludesProcGauges pins the /metrics page contract a
+// scraper relies on: backend series first, then the process-wide proc_*
+// gauges exactly once, so summing across shards never multiplies them.
 func TestMetricsTextIncludesProcGauges(t *testing.T) {
 	srv := httptest.NewServer(NewMux(&stubService{}))
 	defer srv.Close()
@@ -156,37 +155,5 @@ func TestMetricsTextIncludesProcGauges(t *testing.T) {
 		if strings.Count(page, name+" ") != 1 {
 			t.Errorf("%s must appear exactly once:\n%s", name, page)
 		}
-	}
-}
-
-// TestMetricsJSONFormat pins the ?format=json variant: a JSON object with the
-// backend metrics under "metrics" and the proc sample under "proc", carrying
-// the same names as the text page.
-func TestMetricsJSONFormat(t *testing.T) {
-	srv := httptest.NewServer(NewMux(&stubService{}))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content type %q, want application/json", ct)
-	}
-	var doc struct {
-		Metrics map[string]int64 `json:"metrics"`
-		Proc    map[string]int64 `json:"proc"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Metrics["x"] != 1 {
-		t.Errorf("backend metrics not under \"metrics\": %+v", doc.Metrics)
-	}
-	if doc.Proc["proc_goroutines"] <= 0 {
-		t.Errorf("proc sample missing goroutines: %+v", doc.Proc)
-	}
-	if _, ok := doc.Proc["proc_gc_pause_max_ns"]; !ok {
-		t.Errorf("proc sample missing gc pause gauges: %+v", doc.Proc)
 	}
 }

@@ -1,21 +1,11 @@
 #!/usr/bin/env bash
-# CI perf gate: re-measure the leabench suite and fail on regressions
-# against the committed BENCH_sweep.json.
-#
-# The gate takes the per-benchmark median over BENCH_GATE_RUNS fresh runs.
-# ns/op rows get a generous tolerance band (BENCH_GATE_TOL × baseline) since
-# CI machines differ from the one that recorded the snapshot; allocs/op is
-# gated strictly — zero-alloc rows must stay zero-alloc and no row may
-# allocate more than its baseline.
+# CI alloc gate: re-measure the leabench suite and fail when a row allocates
+# more than the committed BENCH_sweep.json says. Zero-alloc rows must stay
+# zero-alloc, and no row may allocate more than its baseline. Alloc counts do
+# not depend on the host, so no tolerance is needed; timings are printed but
+# not judged here (cmd/leaperf gates timing).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-runs="${BENCH_GATE_RUNS:-3}"
-tol="${BENCH_GATE_TOL:-4.0}"
-# The gate already pays for repeated measurement, so its medians double as
-# the kind "bench" perf-trajectory record (read back by leaperf -report and
-# -regress). Set TRAJECTORY_DIR="" to skip the append.
-traj="${TRAJECTORY_DIR-trajectory}"
 
 # The noalloc zone map (internal/analysis/escape/zones.go) and the
 # AllocsPerRun zero-alloc tests must name the same warm API before the
@@ -23,8 +13,4 @@ traj="${TRAJECTORY_DIR-trajectory}"
 # is gate drift, caught here rather than after a silent regression.
 go run ./cmd/lealint -zonecheck
 
-exec go run ./cmd/leabench -gate \
-  -gate-baseline BENCH_sweep.json \
-  -gate-runs "$runs" \
-  -gate-tol "$tol" \
-  -trajectory "$traj"
+exec go run ./cmd/leabench -gate -gate-baseline BENCH_sweep.json

@@ -13,16 +13,10 @@ bin="$(mktemp -d)"
 # leak servers that hold the ports and poison the next run. Daemons that
 # already exited make kill fail, which must not turn a passing run's exit
 # status into a failure under set -e.
-trap 'kill ${srv:-} ${srv2:-} ${srv3:-} ${srv4:-} ${srv5:-} ${col:-} 2>/dev/null || true; rm -rf "$bin"' EXIT
+trap 'kill ${srv:-} ${srv2:-} ${srv3:-} ${srv4:-} ${srv5:-} 2>/dev/null || true; rm -rf "$bin"' EXIT
 
 go build -o "$bin/leaserved" ./cmd/leaserved
 go build -o "$bin/leaload" ./cmd/leaload
-go build -o "$bin/leaperf" ./cmd/leaperf
-
-# Perf-trajectory store: one JSONL record per run, appended by leaload and
-# the leaperf collector below; CI uploads the directory as an artifact and
-# gates on it with `leaperf -regress`.
-traj="${TRAJECTORY_DIR:-trajectory}"
 
 addr=127.0.0.1:8311
 "$bin/leaserved" -addr "$addr" -workers 4 -queue 64 >"$bin/serve.log" 2>&1 &
@@ -144,8 +138,7 @@ grep -q 'shutdown clean' "$bin/serve3.log" || {
 # with a cutoff armed (-strict covers both — coordinated omission is
 # counted, never silent), a sane steady-state intended-start p99, and the
 # zipfian run's warm-cache hit ratio clearly above uniform's (skew must
-# translate into cache affinity). The zipfian run's record is kept as the
-# BENCH_load.json trajectory artifact.
+# translate into cache affinity).
 addr4=127.0.0.1:8314
 addr5=127.0.0.1:8315
 "$bin/leaserved" -addr "$addr4" -workers 4 -queue 256 -cache 8 >"$bin/serve4.log" 2>&1 &
@@ -165,21 +158,10 @@ done
   -mix random=1 -shapes 48 -instrs 10 -seed 8 -dist uniform \
   -strict -json >"$bin/load_uniform.json"
 
-# The leaperf collector samples the zipfian daemon's /metrics (throughput,
-# warm-hit ratio, RSS, GC pauses) for the whole open-loop stage and appends a
-# kind "smoke" record to the trajectory store; the load run appends its own
-# kind "load" record.
-"$bin/leaperf" -collect -url "http://$addr5" -dir "$traj" \
-  -interval 200ms -duration 3500ms -label serve_smoke/zipfian \
-  >"$bin/collect.out" 2>&1 &
-col=$!
 "$bin/leaload" -url "http://$addr5" -workers 8 -loop open -rate 350 \
   -arrival exp -duration 2s -warmup 500ms -cutoff 2s \
   -mix random=1 -shapes 48 -instrs 10 -seed 8 -dist zipfian:theta=0.99 \
-  -strict -json -bench-out "$bin/BENCH_load.json" -trajectory "$traj" \
-  >"$bin/load_zipf.json"
-wait "$col" || { cat "$bin/collect.out" >&2; exit 1; }
-cat "$bin/collect.out"
+  -strict -json >"$bin/load_zipf.json"
 
 python3 - "$bin/load_uniform.json" "$bin/load_zipf.json" <<'PY'
 import json, sys
@@ -212,46 +194,6 @@ print(f"smoke: open-loop ok — offered {zipf['offered_rps']:.0f} req/s, "
       f"({zo['steady']['service']['p99_ns']/1e6:.1f}ms send-to-reply), "
       f"warm ratio zipfian {rz:.4f} vs uniform {ru:.4f}")
 PY
-
-# Collector gates: its own cost must stay under 1% of the window it watched,
-# and the stored smoke record must carry the throughput/warm-ratio summary
-# plus non-empty RSS and GC-pause series — the numbers the trend tables and
-# the leaperf -regress gate feed on.
-python3 - "$bin/collect.out" "$traj/smoke.jsonl" <<'PY'
-import json, sys
-
-overhead = None
-for line in open(sys.argv[1]):
-    if line.startswith("overhead_fraction="):
-        overhead = float(line.split("=", 1)[1])
-if overhead is None:
-    sys.exit("smoke: collector output missing overhead_fraction")
-if overhead >= 0.01:
-    sys.exit(f"smoke: collector overhead {overhead:.4%} is not under 1%")
-
-with open(sys.argv[2]) as f:
-    rec = json.loads([l for l in f if l.strip()][-1])
-rows = {r["name"]: r["metrics"] for r in rec["rows"]}
-summary = rows.get("summary")
-if not summary or summary.get("throughput_rps", 0) <= 0:
-    sys.exit(f"smoke: stored record has no throughput summary: {summary}")
-if "warm_hit_ratio" not in summary:
-    sys.exit("smoke: stored record missing warm_hit_ratio")
-for series in ("proc_rss_bytes", "proc_gc_pause_max_ns"):
-    env = rows.get(series)
-    if not env or env.get("count", 0) <= 0 or env.get("max", 0) <= 0:
-        sys.exit(f"smoke: stored record missing {series} series: {env}")
-if not rec.get("commit") or not rec.get("host_fingerprint", {}).get("os"):
-    sys.exit("smoke: stored record missing provenance stamps")
-print(f"smoke: collector ok — overhead {overhead:.4%}, "
-      f"{summary['throughput_rps']:.0f} req/s, warm ratio {summary['warm_hit_ratio']:.4f}, "
-      f"rss peak {rows['proc_rss_bytes']['max']/2**20:.1f} MiB, "
-      f"gc pause max {rows['proc_gc_pause_max_ns']['max']/1e6:.2f} ms")
-PY
-
-if [ -n "${BENCH_LOAD_OUT:-}" ]; then
-  cp "$bin/BENCH_load.json" "$BENCH_LOAD_OUT"
-fi
 
 kill -TERM "$srv4"; wait "$srv4"
 kill -TERM "$srv5"; wait "$srv5"

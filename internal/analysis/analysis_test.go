@@ -148,28 +148,6 @@ func TestServingStackRanks(t *testing.T) {
 			t.Errorf("%s rank %d must be above the serving stack (shard %d, transport %d)", cmd, r, shardRank, transportRank)
 		}
 	}
-
-	// The load-generation substrate reuses the engine's histograms, so it
-	// must rank above the engine — and below the commands, like the rest of
-	// the serving stack. The rank-4 workload corpus must sit strictly below
-	// it: programs never depend on how they are offered.
-	genRank, ok := LayerRank("internal/workload/generator")
-	if !ok {
-		t.Fatal("internal/workload/generator missing from the layer map")
-	}
-	if genRank <= engineRank {
-		t.Errorf("internal/workload/generator rank %d must be above internal/serve/engine rank %d", genRank, engineRank)
-	}
-	workloadRank, ok := LayerRank("internal/workload")
-	if !ok {
-		t.Fatal("internal/workload missing from the layer map")
-	}
-	if workloadRank >= genRank {
-		t.Errorf("internal/workload rank %d must be below internal/workload/generator rank %d", workloadRank, genRank)
-	}
-	if loadRank, _ := LayerRank("cmd/leaload"); loadRank <= genRank {
-		t.Errorf("cmd/leaload rank %d must be above internal/workload/generator rank %d", loadRank, genRank)
-	}
 }
 
 // TestParseIgnoreDirective pins the suppression grammar: a code list with

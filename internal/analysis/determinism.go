@@ -14,10 +14,6 @@ var timeAllowed = map[string]bool{
 	"internal/flow":         true,
 	"internal/core":         true,
 	"internal/serve/engine": true,
-	// The open-loop scheduler's whole job is wall-clock pacing and
-	// intended-start latency measurement; its *schedules* stay deterministic
-	// (seeded generators), only the measurement reads the clock.
-	"internal/workload/generator": true,
 }
 
 // randConstructors are the math/rand package-level names that do NOT touch

@@ -52,25 +52,20 @@ var layerRank = map[string]int{
 	"internal/serve/engine":    7,
 	"internal/serve/shard":     8,
 	"internal/serve/transport": 8,
-	// The load-generation substrate sits above the serve engine (it reuses
-	// the engine's histogram/registry metrics for its per-phase latency
-	// accounting) but below the commands that drive it; internal/workload
-	// itself stays a rank-4 corpus library and must not import it.
-	"internal/workload/generator": 8,
-	"internal/memmap":             8,
-	"internal/exact":              8,
-	"internal/emit":               8,
-	"internal/actmem":             9,
-	"internal/pipeline":           9,
-	"internal/report":             10,
-	"cmd/leabench":                100,
-	"cmd/leaflow":                 100,
-	"cmd/leagen":                  100,
-	"cmd/lealint":                 100,
-	"cmd/leaload":                 100,
-	"cmd/leaperf":                 100,
-	"cmd/leaserved":               100,
-	"cmd/leasweep":                100,
+	"internal/memmap":          8,
+	"internal/exact":           8,
+	"internal/emit":            8,
+	"internal/actmem":          9,
+	"internal/pipeline":        9,
+	"internal/report":          10,
+	"cmd/leabench":             100,
+	"cmd/leaflow":              100,
+	"cmd/leagen":               100,
+	"cmd/lealint":              100,
+	"cmd/leaload":              100,
+	"cmd/leaperf":              100,
+	"cmd/leaserved":            100,
+	"cmd/leasweep":             100,
 }
 
 // layeringPass enforces the layer ranks (codes LEA0001, LEA0002) over

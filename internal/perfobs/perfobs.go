@@ -1,9 +1,9 @@
 // Package perfobs stamps perf reports with their provenance: the commit and
 // dirty flag they were built from, the Go version, and a fingerprint of the
 // host they ran on, so a stored number names the code and machine that
-// produced it. BENCH_sweep.json (leabench -json) and leaload's reports carry
-// this stamp. The sub-package perfobs/stats holds the medians, quartiles and
-// paired verdict of the repository's perf gate, cmd/leaperf.
+// produced it. BENCH_sweep.json (leabench -json) carries this stamp. The
+// sub-package perfobs/stats holds the medians, quartiles and paired verdict
+// of the repository's perf gate, cmd/leaperf.
 package perfobs
 
 import (
@@ -27,8 +27,8 @@ type Host struct {
 	CPUModel string `json:"cpu_model,omitempty"`
 }
 
-// Meta is the provenance block shared by every emitter: what CollectMeta
-// gathers once per process and each report copies.
+// Meta is the provenance block: what CollectMeta gathers once per process
+// and a report copies.
 type Meta struct {
 	// Commit and Dirty locate the run in history ("unknown"/false when the
 	// producing directory is not a git checkout).

@@ -312,47 +312,55 @@ func TestPrepareTimeCountedOnce(t *testing.T) {
 	}
 }
 
-// TestEngineSpellingsShareTemplate: every spelling of one engine — the empty
-// default, the canonical name, case and hyphen variants — resolves to that
-// engine's canonical name, so all of them share one template-cache entry and
-// one shard route.
+// TestEngineSpellingsShareTemplate: every spelling of one request shares
+// one template-cache entry and one shard route. The spellings are those of
+// an engine (the empty default, the canonical name, case and hyphen
+// variants, all resolving to the canonical name) and the empty style and
+// scheduler beside their defaults "density" and "list".
 func TestEngineSpellingsShareTemplate(t *testing.T) {
-	e := New(Config{Workers: 1, QueueDepth: 4})
 	ctx := context.Background()
-	defer e.Close(ctx)
 	for _, g := range []struct {
-		canonical string
-		spellings []string
+		engine    string // canonical name every spelling runs as
+		spellings []RequestOptions
 	}{
-		{"ssp", []string{"", "ssp", "SSP"}},
-		{"cyclecancel", []string{"cyclecancel", "cycle-cancel"}},
+		{"ssp", []RequestOptions{{Engine: ""}, {Engine: "ssp"}, {Engine: "SSP"}}},
+		{"cyclecancel", []RequestOptions{{Engine: "cyclecancel"}, {Engine: "cycle-cancel"}}},
+		{"ssp", []RequestOptions{{Style: ""}, {Style: "density"}}},
+		{"ssp", []RequestOptions{{Scheduler: ""}, {Scheduler: "list"}}},
 	} {
+		// A fresh engine per group, so only the group's first spelling can
+		// prepare the template the others must hit.
+		e := New(Config{Workers: 1, QueueDepth: 4})
 		var first *BlockResult
-		for i, name := range g.spellings {
-			req := Request{Program: testPrograms[1], Options: RequestOptions{Registers: 2, Engine: name}}
-			canon := Request{Program: req.Program, Options: RequestOptions{Registers: 2, Engine: g.canonical}}
-			if RouteKey(&req) != RouteKey(&canon) {
-				t.Errorf("engine %q routes apart from %q", name, g.canonical)
-			}
+		var firstKey string
+		for i, o := range g.spellings {
+			spelled := o
+			o.Registers = 2
+			req := Request{Program: testPrograms[1], Options: o}
+			key := RouteKey(&req)
 			resp, err := e.Allocate(ctx, &req)
 			if err != nil {
 				t.Fatal(err)
 			}
 			b := &resp.Blocks[0]
-			if b.Stats.Engine != g.canonical {
-				t.Errorf("engine %q ran as %q, want %q", name, b.Stats.Engine, g.canonical)
+			if b.Stats.Engine != g.engine {
+				t.Errorf("%+v ran as engine %q, want %q", spelled, b.Stats.Engine, g.engine)
 			}
 			if i == 0 {
-				first = b
+				first, firstKey = b, key
 				continue
 			}
+			if key != firstKey {
+				t.Errorf("%+v routes apart from %+v", spelled, g.spellings[0])
+			}
 			if !b.CacheHit {
-				t.Errorf("engine %q missed the template %q prepared", name, g.spellings[0])
+				t.Errorf("%+v missed the template %+v prepared", spelled, g.spellings[0])
 			}
 			if b.Energy != first.Energy {
-				t.Errorf("engine %q: energy %v, want %v", name, b.Energy, first.Energy)
+				t.Errorf("%+v: energy %v, want %v", spelled, b.Energy, first.Energy)
 			}
 		}
+		e.Close(ctx)
 	}
 }
 

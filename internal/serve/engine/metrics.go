@@ -95,11 +95,11 @@ func (h *Histogram) Observe(d time.Duration) {
 // additive, so merged quantile estimates are as good as if every observation
 // had landed in h directly. src is left unchanged.
 //
-// Edge cases are part of the contract (leaload's per-phase merging leans on
-// them): merging an empty src is a no-op, merging into an empty h copies
-// src exactly (including min/max, so a single-bucket src round-trips its
-// quantiles unchanged), and merging h into itself is a no-op rather than a
-// silent double-count.
+// Edge cases are part of the contract (the shard router's fleet-wide
+// /statsz and leaload's per-worker tallies lean on them): merging an empty
+// src is a no-op, merging into an empty h copies src exactly (including
+// min/max, so a single-bucket src round-trips its quantiles unchanged), and
+// merging h into itself is a no-op rather than a silent double-count.
 func (h *Histogram) Merge(src *Histogram) {
 	if src == h {
 		return

@@ -106,11 +106,12 @@ func TestHistogramMergeExact(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeEdgeCases tables the Merge contract edges that leaload's
-// per-phase merging depends on: empty→empty, empty into populated, populated
-// into empty (exact copy, min/max included), single-bucket histograms
-// (including the all-zero-observation bucket 0), disjoint ranges, and
-// self-merge as a no-op.
+// TestHistogramMergeEdgeCases tables the Merge contract edges that the shard
+// router's fleet-wide /statsz and leaload's per-worker tallies depend on:
+// empty→empty, empty into populated, populated into empty (exact copy,
+// min/max included), single-bucket histograms (including the
+// all-zero-observation bucket 0), disjoint ranges, and self-merge as a
+// no-op.
 func TestHistogramMergeEdgeCases(t *testing.T) {
 	obs := func(ds ...time.Duration) *Histogram {
 		h := &Histogram{}

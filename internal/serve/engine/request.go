@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -120,8 +121,9 @@ func DecodeRequest(r io.Reader, maxProgram int) (*Request, error) {
 }
 
 // validateRequest applies defaults and range-checks the options. The engine
-// option is rewritten to the canonical name of the engine that will run, so
-// every spelling of one engine shares its cache entries.
+// option is rewritten to the canonical name of the engine that will run, and
+// an empty style or scheduler to "density" or "list", so every spelling of
+// one request shares its cache entries and its route.
 func validateRequest(req *Request, maxProgram int) error {
 	if strings.TrimSpace(req.Program) == "" {
 		return badRequest("program", "empty program", nil)
@@ -148,7 +150,9 @@ func validateRequest(req *Request, maxProgram int) error {
 	}
 	o.Engine = eng
 	switch o.Style {
-	case "", "density", "allcompat":
+	case "":
+		o.Style = "density"
+	case "density", "allcompat":
 	default:
 		return badRequest("options.style", fmt.Sprintf("unknown graph style %q", o.Style), nil)
 	}
@@ -158,7 +162,9 @@ func validateRequest(req *Request, maxProgram int) error {
 		return badRequest("options.cost", fmt.Sprintf("unknown cost model %q", o.Cost), nil)
 	}
 	switch o.Scheduler {
-	case "", "list", "asap", "fds":
+	case "":
+		o.Scheduler = "list"
+	case "list", "asap", "fds":
 	default:
 		return badRequest("options.scheduler", fmt.Sprintf("unknown scheduler %q", o.Scheduler), nil)
 	}
@@ -168,7 +174,7 @@ func validateRequest(req *Request, maxProgram int) error {
 	if o.Multipliers < 0 || o.Multipliers > MaxFuncUnits {
 		return badRequest("options.multipliers", fmt.Sprintf("multiplier count %d outside [0, %d]", o.Multipliers, MaxFuncUnits), nil)
 	}
-	if o.ALUs == 0 && o.Multipliers == 0 && o.Scheduler != "asap" && o.Scheduler != "fds" {
+	if o.ALUs == 0 && o.Multipliers == 0 && o.Scheduler == "list" {
 		o.ALUs, o.Multipliers = 2, 1
 	}
 	return nil
@@ -177,8 +183,7 @@ func validateRequest(req *Request, maxProgram int) error {
 // engineName resolves an engine option to the canonical name of the engine
 // that will run it: empty selects core's default the way core.NewPipeline
 // does, and spelling variants ("cycle-cancel", "SSP") collapse onto one
-// name. validateRequest and RouteKey share it, so the template cache and the
-// shard route agree on which requests name the same engine.
+// name.
 func engineName(name string) (string, error) {
 	if name == "" {
 		name = core.DefaultEngine()
@@ -230,7 +235,7 @@ func coreOptions(o RequestOptions) (core.Options, netbuild.CostOptions) {
 // schedule runs the requested scheduler over one block.
 func schedule(b *ir.Block, o RequestOptions) (*sched.Schedule, error) {
 	switch o.Scheduler {
-	case "", "list":
+	case "list":
 		return sched.List(b, sched.Resources{ALUs: o.ALUs, Multipliers: o.Multipliers})
 	case "asap":
 		return sched.ASAP(b)
@@ -279,29 +284,20 @@ func cacheKey(set *lifetime.Set, o RequestOptions) string {
 // option (divisor, split policy, style, engine, scheduler and its resource
 // bounds). Register count and cost model are deliberately excluded — a
 // register or cost sweep over one program then lands on a single shard and
-// keeps re-solving that shard's warm templates. Shard routers and load
-// drivers share this key so client-side routing agrees with server-side
-// affinity. The key is computed on the raw request, so the validation
-// defaults and the engine-name canonicalization are applied locally first;
-// an unknown engine hashes as given, since every shard rejects it alike.
+// keeps re-solving that shard's warm templates. The key is computed on a
+// validated copy of the request, without the program-size limit, so every
+// spelling validateRequest treats as one request routes as one; a request
+// that fails validation hashes as given, since every shard rejects it alike.
 func RouteKey(req *Request) string {
-	o := req.Options
-	div := o.MemDivisor
-	if div == 0 {
-		div = 1
+	v := *req
+	if validateRequest(&v, math.MaxInt) != nil {
+		v = *req
 	}
-	eng, err := engineName(o.Engine)
-	if err != nil {
-		eng = o.Engine
-	}
-	alus, mults := o.ALUs, o.Multipliers
-	if alus == 0 && mults == 0 && o.Scheduler != "asap" && o.Scheduler != "fds" {
-		alus, mults = 2, 1
-	}
+	o := &v.Options
 	h := sha256.New()
 	fmt.Fprintf(h, "rk1|div=%d|splitfull=%t|style=%s|engine=%s|sched=%s|alus=%d|mults=%d|",
-		div, o.SplitFull, o.Style, eng, o.Scheduler, alus, mults)
-	io.WriteString(h, req.Program)
+		o.MemDivisor, o.SplitFull, o.Style, o.Engine, o.Scheduler, o.ALUs, o.Multipliers)
+	io.WriteString(h, v.Program)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -7,18 +7,16 @@ import (
 	"sort"
 )
 
-// DefaultReplicas is the virtual-node count per shard on the hash ring;
-// 64 points per shard keeps the load split within a few percent of even for
-// small fleets without making lookups noticeably slower.
-const DefaultReplicas = 64
+// replicas is the virtual-node count per shard on the hash ring; 64 points
+// per shard keeps the load split within a few percent of even for small
+// fleets without making lookups noticeably slower.
+const replicas = 64
 
-// Ring is a consistent-hash ring over n shards: each shard owns `replicas`
+// ring is a consistent-hash ring over n shards: each shard owns `replicas`
 // pseudo-random points on a 64-bit circle, and a key maps to the shard owning
-// the first point at or after the key's hash. Both the serving router and
-// the load driver build the same ring, so client-side endpoint choice agrees
-// with server-side shard affinity. Immutable after NewRing; safe for
-// concurrent Lookup.
-type Ring struct {
+// the first point at or after the key's hash. Immutable after newRing; safe
+// for concurrent lookup.
+type ring struct {
 	points []ringPoint
 	n      int
 }
@@ -28,16 +26,12 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds a ring over n shards (minimum 1) with the given number of
-// virtual replicas per shard (0 selects DefaultReplicas).
-func NewRing(n, replicas int) *Ring {
+// newRing builds a ring over n shards (minimum 1).
+func newRing(n int) *ring {
 	if n < 1 {
 		n = 1
 	}
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	r := &Ring{points: make([]ringPoint, 0, n*replicas), n: n}
+	r := &ring{points: make([]ringPoint, 0, n*replicas), n: n}
 	for s := 0; s < n; s++ {
 		for v := 0; v < replicas; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("s%dr%d", s, v)), shard: s})
@@ -52,11 +46,8 @@ func NewRing(n, replicas int) *Ring {
 	return r
 }
 
-// Shards reports the shard count the ring was built over.
-func (r *Ring) Shards() int { return r.n }
-
-// Lookup maps a key to its owning shard index.
-func (r *Ring) Lookup(key string) int {
+// lookup maps a key to its owning shard index.
+func (r *ring) lookup(key string) int {
 	if r.n == 1 {
 		return 0
 	}

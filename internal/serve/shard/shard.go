@@ -20,9 +20,6 @@ import (
 type Config struct {
 	// Shards is the engine-instance count (default 1).
 	Shards int
-	// Replicas is the virtual-node count per shard on the hash ring
-	// (default DefaultReplicas).
-	Replicas int
 	// Engine configures every shard's engine identically.
 	Engine engine.Config
 }
@@ -31,7 +28,7 @@ type Config struct {
 // key. Create with New, retire with Close.
 type Router struct {
 	shards []*engine.Engine
-	ring   *Ring
+	ring   *ring
 }
 
 // New starts cfg.Shards engines and the ring that routes onto them.
@@ -42,7 +39,7 @@ func New(cfg Config) *Router {
 	}
 	r := &Router{
 		shards: make([]*engine.Engine, n),
-		ring:   NewRing(n, cfg.Replicas),
+		ring:   newRing(n),
 	}
 	for i := range r.shards {
 		r.shards[i] = engine.New(cfg.Engine)
@@ -59,7 +56,7 @@ func (r *Router) Shard(i int) *engine.Engine { return r.shards[i] }
 // Allocate routes the request to the shard owning its shape key and runs it
 // there. Error semantics are exactly the engine's.
 func (r *Router) Allocate(ctx context.Context, req *engine.Request) (*engine.Response, error) {
-	return r.shards[r.ring.Lookup(engine.RouteKey(req))].Allocate(ctx, req)
+	return r.shards[r.ring.lookup(engine.RouteKey(req))].Allocate(ctx, req)
 }
 
 // MaxProgramBytes reports the per-request program bound (identical across

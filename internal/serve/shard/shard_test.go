@@ -17,16 +17,15 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRingDeterministicAndBalanced pins the ring contract the load driver
-// depends on: identical construction yields identical routing, every shard
-// owns a fair share of random keys, and single-shard rings route everything
-// to shard 0.
+// TestRingDeterministicAndBalanced pins the ring contract: identical
+// construction yields identical routing, every shard owns a fair share of
+// random keys, and single-shard rings route everything to shard 0.
 func TestRingDeterministicAndBalanced(t *testing.T) {
-	a, b := NewRing(4, 0), NewRing(4, 0)
+	a, b := newRing(4), newRing(4)
 	counts := make([]int, 4)
 	for i := 0; i < 4000; i++ {
 		key := fmt.Sprintf("key-%d-%d", i, i*i)
-		sa, sb := a.Lookup(key), b.Lookup(key)
+		sa, sb := a.lookup(key), b.lookup(key)
 		if sa != sb {
 			t.Fatalf("ring not deterministic: key %q -> %d vs %d", key, sa, sb)
 		}
@@ -37,11 +36,11 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 			t.Errorf("shard %d owns %d of 4000 keys; split too skewed: %v", s, n, counts)
 		}
 	}
-	one := NewRing(1, 0)
-	if got := one.Lookup("anything"); got != 0 {
+	one := newRing(1)
+	if got := one.lookup("anything"); got != 0 {
 		t.Errorf("1-shard ring routed to %d", got)
 	}
-	if NewRing(0, 0).Shards() != 1 {
+	if newRing(0).n != 1 {
 		t.Error("shard count not clamped to 1")
 	}
 }
@@ -63,10 +62,14 @@ func TestRouteKeyAffinity(t *testing.T) {
 	if engine.RouteKey(same) != k {
 		t.Error("register/cost sweep changed the route key")
 	}
-	// Raw and validated forms of the default options must agree, since the
-	// client routes before validation and the server after.
+	// Raw and validated forms of the default options must agree: the router
+	// may see a request before validation (a direct caller) or after (the
+	// HTTP transport).
 	validated := base()
 	validated.Options.MemDivisor = 1
+	validated.Options.Engine = "ssp"
+	validated.Options.Style = "density"
+	validated.Options.Scheduler = "list"
 	validated.Options.ALUs, validated.Options.Multipliers = 2, 1
 	if engine.RouteKey(validated) != k {
 		t.Error("default normalisation changed the route key")
@@ -147,11 +150,11 @@ func TestShardedByteIdentical(t *testing.T) {
 	// up, so all four shards block while the corpus burst queues behind
 	// them.
 	const shards = 4
-	ring := NewRing(shards, 0)
+	ring := newRing(shards)
 	parker := make(map[int]string, shards)
 	for n := 0; len(parker) < shards; n++ {
 		prog := fmt.Sprintf("task park%d\nblock b\nin a b\nc = a + b\nout c\nend\n", n)
-		s := ring.Lookup(engine.RouteKey(&engine.Request{Program: prog}))
+		s := ring.lookup(engine.RouteKey(&engine.Request{Program: prog}))
 		if _, ok := parker[s]; !ok {
 			parker[s] = prog
 		}

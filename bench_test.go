@@ -5,6 +5,7 @@ package lowenergy_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -229,6 +230,66 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRunnerRSP is the solver-bound sweep over the radar kernel as a
+// go-test benchmark, so it can be CPU-profiled: one persistent sweep.Runner
+// with R 13–14, memory divisors 1/2/4 and the static and activity models
+// under a fixed switching-activity oracle, on one worker. One op is one
+// Runner.Run, 12 solves: per divisor column a full solve per model at R = 13
+// and an incremental R→R+1 solve. It reports the SSP augmentations and
+// Dijkstra pops per solve.
+func BenchmarkRunnerRSP(b *testing.B) {
+	set, _, err := workload.RSP(workload.DefaultRSP)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rn, err := sweep.NewRunner(set, sweep.Options{
+		Registers: []int{workload.Table1Registers, workload.Table1Registers + 1},
+		Divisors:  []int{1, 2, 4},
+		H:         hashHamming,
+		Workers:   1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := rn.Run(); err != nil {
+		b.Fatal(err)
+	}
+	var solves, augmentations, pops int
+	core.SetStatsCollector(func(st core.RunStats) {
+		solves++
+		augmentations += st.Solver.Augmentations
+		pops += st.Solver.DijkstraIters
+	})
+	defer core.SetStatsCollector(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rn.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(augmentations)/float64(solves), "augs/solve")
+	b.ReportMetric(float64(pops)/float64(solves), "pops/solve")
+}
+
+// hashHamming is a fixed switching-activity oracle: every unordered variable
+// pair gets a fraction in [0.05, 0.95] hashed from the two names, so the
+// activity model's arc costs vary from pair to pair as under the seeded
+// oracle of allocbench's sweep_rsp.
+func hashHamming(v1, v2 string) float64 {
+	if v1 == "" {
+		return energy.DefaultInitialActivity
+	}
+	if v2 < v1 {
+		v1, v2 = v2, v1
+	}
+	h := fnv.New64a()
+	h.Write([]byte(v1))
+	h.Write([]byte{0})
+	h.Write([]byte(v2))
+	return 0.05 + 0.9*float64(h.Sum64()%1001)/1000
 }
 
 // BenchmarkWarmResolve isolates the solver-level warm start: the same

@@ -52,6 +52,8 @@ func Zones() []Zone {
 			{Name: "dijkstra"},
 			{Name: "payHeap.push"},
 			{Name: "payHeap.pop"},
+			{Name: "payHeap.heapify"},
+			{Name: "payHeap.down"},
 		}},
 		{Pkg: "internal/sweep", Funcs: []ZoneFunc{
 			// The per-divisor warm column solve inside Runner.Run's sweep.

@@ -81,7 +81,8 @@ type SolveStats struct {
 	// Phases counts Dijkstra rounds (SSP), Bellman–Ford cycle searches
 	// (cycle cancelling) or ε-scaling phases (cost scaling).
 	Phases int `json:"phases"`
-	// DijkstraIters counts queue pops across all Dijkstra rounds (SSP).
+	// DijkstraIters counts the pops of every SSP Dijkstra round, from its
+	// distance-0 stack and from its heap, stale heap entries included.
 	DijkstraIters int `json:"dijkstra_iters"`
 	// Relabels and Pushes count push-relabel work (cost scaling).
 	Relabels int `json:"relabels"`
@@ -135,10 +136,7 @@ type Scratch struct {
 	pi      []int64 // potentials
 	dist    []int64
 	prevArc []int32
-	heap    payHeap
-	// Topological-order potential initialisation buffers (dagRelax).
-	indeg []int32
-	order []int32
+	heap    payHeap // also dagRelax's indegrees and topological queue
 	// Warm-start state: the prepared residual topology of the last network
 	// solved and the flag telling ssp the incremental path repaired the
 	// current potentials for reuse.
@@ -215,8 +213,8 @@ func NewScratchSized(nodes, arcs int) *Scratch {
 	sc.pi = carve64(n)
 	sc.dist = carve64(n)
 	sc.prevArc = carve32(n)
-	sc.indeg = carve32(n)
-	sc.order = carve32(n)
+	sc.heap.nodeSeq = carve32(n)
+	sc.heap.stack = carve32(n)
 	return sc
 }
 

@@ -91,8 +91,11 @@ func initPotentials(r *residual, s int, sc *Scratch) ([]int64, error) {
 //
 //lea:noalloc
 func dagRelax(r *residual, sc *Scratch, dist []int64) bool {
-	sc.indeg = grow32(sc.indeg, r.n) //lea:allocs indegree growth on first solve of a larger network
-	indeg := sc.indeg
+	// The Dijkstra rounds' node buffers are free until the first round: they
+	// hold the indegrees and the topological queue.
+	h := &sc.heap
+	h.nodeSeq = grow32(h.nodeSeq, r.n) //lea:allocs indegree growth on first solve of a larger network
+	indeg := h.nodeSeq
 	for v := range indeg {
 		indeg[v] = 0
 	}
@@ -103,10 +106,10 @@ func dagRelax(r *residual, sc *Scratch, dist []int64) bool {
 			}
 		}
 	}
-	if cap(sc.order) < r.n {
-		sc.order = make([]int32, 0, r.n) //lea:allocs topo-order growth on first solve of a larger network
+	if cap(h.stack) < r.n {
+		h.stack = make([]int32, 0, r.n) //lea:allocs topo-order growth on first solve of a larger network
 	}
-	q := sc.order[:0]
+	q := h.stack[:0]
 	for v := range indeg {
 		if indeg[v] == 0 {
 			q = append(q, int32(v))
@@ -133,7 +136,7 @@ func dagRelax(r *residual, sc *Scratch, dist []int64) bool {
 			}
 		}
 	}
-	sc.order = q[:0]
+	h.stack = q[:0]
 	return processed == r.n
 }
 
@@ -266,10 +269,21 @@ func bellmanFord(r *residual, s int, dist []int64) ([]int64, error) {
 	}
 }
 
-// dijkstra computes reduced-cost shortest paths from s on the binary heap h
-// and stops once it settles t. dist and prevArc hold final values for the
-// nodes settled by then, the path to t among them; every other node holds a
-// tentative distance no smaller than dist[t] (infCost and -1 when unreached).
+// dijkstra computes reduced-cost shortest paths from s and stops once it
+// settles t. dist and prevArc hold final values for the nodes settled by
+// then, the path to t among them; every other node holds a tentative
+// distance no smaller than dist[t] (infCost and -1 when unreached).
+//
+// Every capacitated arc has a non-negative reduced cost, so a label of 0 is
+// final when it is set; most settled nodes, and often t, sit at distance 0.
+// The round therefore settles its distance-0 frontier first, from a LIFO
+// stack, and builds the heap only if t is not among it. It pops exactly what
+// a heap holding every label would pop, stale entries aside, in the same
+// order: the heap's (distance, newest push first) order is the stack's
+// among distance-0 entries, and each positive label is recorded with the
+// sequence number its push would have taken, so the heap built from the one
+// live label per node orders them as before. dist and prevArc, and with them
+// every augmenting path, are the heap-only round's.
 //
 //lea:noalloc
 func dijkstra(r *residual, s, t int, pi, dist []int64, prevArc []int32, h *payHeap, st *SolveStats) {
@@ -277,10 +291,54 @@ func dijkstra(r *residual, s, t int, pi, dist []int64, prevArc []int32, h *payHe
 		dist[v] = infCost
 		prevArc[v] = -1
 	}
+	h.nodeSeq = grow32(h.nodeSeq, len(dist)) //lea:allocs scratch growth on first solve of a larger network
+	if cap(h.stack) < len(dist) {
+		h.stack = make([]int32, 0, len(dist)) //lea:allocs scratch growth on first solve of a larger network
+	}
+	nodeSeq := h.nodeSeq
 	dist[s] = 0
-	h.a = h.a[:0]
 	seq := int32(0)
-	h.push(heapItem{0, 0, int32(s)})
+	// A node enters the stack once, when its label drops to 0, so appends
+	// stay within the stack's capacity of one slot per node.
+	stack := append(h.stack[:0], int32(s))
+	for len(stack) > 0 {
+		u := int(stack[len(stack)-1])
+		stack = stack[:len(stack)-1]
+		st.DijkstraIters++
+		if u == t {
+			return
+		}
+		for a := int(r.start[u]); a < int(r.start[u+1]); a++ {
+			if r.capR[a] <= 0 {
+				continue
+			}
+			v := int(r.to[a])
+			if pi[v] >= infCost {
+				// Node was unreachable from s when initPotentials ran, and
+				// it still is: augmentations add reverse arcs only between
+				// nodes on the path, and a widened super arc's head was
+				// reachable then. Its potential is meaningless; skip it.
+				continue
+			}
+			if d := r.cost[a] + pi[u] - pi[v]; d < dist[v] {
+				dist[v] = d
+				prevArc[v] = int32(a)
+				seq++
+				if d == 0 {
+					stack = append(stack, int32(v))
+				} else {
+					nodeSeq[v] = seq
+				}
+			}
+		}
+	}
+	h.a = h.a[:0]
+	for v, d := range dist {
+		if d > 0 && d < infCost {
+			h.a = append(h.a, heapItem{d, nodeSeq[v], int32(v)})
+		}
+	}
+	h.heapify()
 	for h.len() > 0 {
 		it := h.pop()
 		st.DijkstraIters++
@@ -297,9 +355,7 @@ func dijkstra(r *residual, s, t int, pi, dist []int64, prevArc []int32, h *payHe
 			}
 			v := int(r.to[a])
 			if pi[v] >= infCost {
-				// Node was never reachable; its potential is meaningless but
-				// it can become reachable now. Treat reduced cost as raw.
-				continue
+				continue // never reachable, as in the distance-0 stage
 			}
 			rc := it.dist + r.cost[a] + pi[u] - pi[v]
 			if rc < dist[v] {
@@ -326,8 +382,15 @@ func (x heapItem) less(y heapItem) bool {
 	return x.dist < y.dist || (x.dist == y.dist && x.seq > y.seq)
 }
 
-// payHeap is a binary min-heap of (dist, seq, node) with lazy deletion.
-type payHeap struct{ a []heapItem }
+// payHeap is a binary min-heap of (dist, seq, node) with lazy deletion,
+// plus the node buffers of a Dijkstra round's distance-0 stage: stack, the
+// frontier, and nodeSeq, the sequence number of each node's latest positive
+// label. dagRelax borrows both before the first round.
+type payHeap struct {
+	a       []heapItem
+	stack   []int32
+	nodeSeq []int32
+}
 
 func (h *payHeap) len() int { return len(h.a) }
 
@@ -351,7 +414,23 @@ func (h *payHeap) pop() heapItem {
 	last := len(h.a) - 1
 	h.a[0] = h.a[last]
 	h.a = h.a[:last]
-	i := 0
+	h.down(0)
+	return top
+}
+
+// heapify orders entries appended to a in any order into a heap.
+//
+//lea:noalloc
+func (h *payHeap) heapify() {
+	for i := len(h.a)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down sifts the entry at i down to its place below.
+//
+//lea:noalloc
+func (h *payHeap) down(i int) {
 	for {
 		l, rr := 2*i+1, 2*i+2
 		small := i
@@ -362,10 +441,9 @@ func (h *payHeap) pop() heapItem {
 			small = rr
 		}
 		if small == i {
-			break
+			return
 		}
 		h.a[i], h.a[small] = h.a[small], h.a[i]
 		i = small
 	}
-	return top
 }

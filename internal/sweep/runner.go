@@ -110,8 +110,9 @@ func (rn *Runner) Run() (*Grid, error) {
 // solveColumn fills divisor column di of g across all register counts.
 // Columns are independent (own Prepared, own scratch) and write disjoint
 // cells, so workers parallelise over them; cells within a column share the
-// prepared problem and solve warm, one cost model at a time so consecutive
-// solves keep compatible potentials.
+// prepared problem and solve warm, one cost model at a time, because R→R+1
+// under an unchanged cost vector is an incremental solve that ships only
+// the extra unit on the previous optimum.
 //
 //lea:noalloc
 func (rn *Runner) solveColumn(di int, g *Grid) {

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/flow"
 	"repro/internal/report"
 	"repro/internal/workload"
 )
@@ -95,7 +94,6 @@ func main() {
 		markdown  = flag.Bool("md", false, "emit markdown tables")
 		registers = flag.Int("registers", workload.Table1Registers, "register file size for the RSP experiments")
 		list      = flag.Bool("list", false, "list experiments")
-		solver    = flag.String("solver", "", fmt.Sprintf("min-cost-flow engine for every allocation (%s)", strings.Join(flow.EngineNames(), ", ")))
 		stats     = flag.Bool("stats", false, "print an aggregate of every allocation's stage timings and solver work")
 		parallel  = flag.Int("parallel", 1, "run up to this many experiments concurrently (output order is unchanged)")
 		benchJSON = flag.String("json", "", "measure the sweep/solver benchmarks and write a perf snapshot to this path (e.g. BENCH_sweep.json)")
@@ -130,12 +128,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "leabench: pass -all, -exp <name> or -list")
 		os.Exit(2)
 	}
-	if *solver != "" {
-		if err := core.SetDefaultEngine(*solver); err != nil {
-			fmt.Fprintln(os.Stderr, "leabench:", err)
-			os.Exit(2)
-		}
-	}
 	var agg *statsAggregate
 	if *stats {
 		agg = &statsAggregate{}
@@ -159,8 +151,6 @@ type statsAggregate struct {
 	solve, total  time.Duration
 	augmentations int
 	dijkstraIters int
-	relabels      int
-	byEngine      map[string]int
 }
 
 func (a *statsAggregate) add(st core.RunStats) {
@@ -171,23 +161,13 @@ func (a *statsAggregate) add(st core.RunStats) {
 	a.total += st.TotalTime
 	a.augmentations += st.Solver.Augmentations
 	a.dijkstraIters += st.Solver.DijkstraIters
-	a.relabels += st.Solver.Relabels
-	if a.byEngine == nil {
-		a.byEngine = make(map[string]int)
-	}
-	a.byEngine[st.Engine]++
 }
 
 func (a *statsAggregate) print(w io.Writer) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var engines []string
-	for name, n := range a.byEngine {
-		engines = append(engines, fmt.Sprintf("%s ×%d", name, n))
-	}
-	fmt.Fprintf(w, "allocation stats: %d runs (%s); solve %s of %s total; %d augmentations, %d dijkstra iters, %d relabels\n",
-		a.runs, strings.Join(engines, ", "), a.solve, a.total,
-		a.augmentations, a.dijkstraIters, a.relabels)
+	fmt.Fprintf(w, "allocation stats: %d runs; solve %s of %s total; %d augmentations, %d dijkstra iters\n",
+		a.runs, a.solve, a.total, a.augmentations, a.dijkstraIters)
 }
 
 // run keeps the original signature for the tests; runN adds the worker bound.

@@ -18,7 +18,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 
 	lowenergy "repro"
@@ -42,7 +41,6 @@ func main() {
 		dimacsOut = flag.String("dimacs", "", "write the flow network of the first block in DIMACS min-cost format")
 		asm       = flag.Bool("asm", false, "print the lowered machine instruction stream (loads/stores/moves/ops)")
 		profile   = flag.Bool("profile", false, "print the per-step storage energy profile (implies -simulate)")
-		solver    = flag.String("solver", "ssp", fmt.Sprintf("min-cost-flow engine: %s", strings.Join(lowenergy.SolverNames(), ", ")))
 		stats     = flag.Bool("stats", false, "print per-stage wall time and solver work for every block")
 		parallel  = flag.Int("parallel", 1, "allocate up to this many blocks concurrently (output order is unchanged)")
 	)
@@ -52,7 +50,7 @@ func main() {
 		style: *styleName, cost: *costName, splitFull: *splitFull,
 		dot: *dotOut, verbose: *verbose, gantt: *gantt, sched: *schedName,
 		json: *jsonOut, simulate: *simulate || *profile, dimacs: *dimacsOut, asm: *asm, profile: *profile,
-		solver: *solver, stats: *stats, parallel: *parallel,
+		stats: *stats, parallel: *parallel,
 	}
 	if err := runCfg(os.Stdout, cfg, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "leaflow:", err)
@@ -66,7 +64,6 @@ type config struct {
 	splitFull, verbose, gantt      bool
 	json, simulate, asm, profile   bool
 	dot, dimacs                    string
-	solver                         string
 	stats                          bool
 	parallel                       int
 }
@@ -131,7 +128,6 @@ func runCfg(w io.Writer, cfg config, args []string) error {
 		Split:     split,
 		Style:     style,
 		Cost:      cost,
-		Engine:    cfg.solver,
 	}
 	switch schedName {
 	case "list", "asap", "fds":
@@ -307,7 +303,6 @@ func printBlock(w io.Writer, task, name string, res *lowenergy.Result, verbose, 
 	fmt.Fprintf(w, "ports required:     mem %dr/%dw, reg %dr/%dw\n",
 		res.Ports.MemReadPorts, res.Ports.MemWritePorts, res.Ports.RegReadPorts, res.Ports.RegWritePorts)
 	if stats {
-		fmt.Fprintf(w, "solver:             %s\n", res.Stats.Engine)
 		fmt.Fprintf(w, "stats:              %s\n", res.Stats)
 	}
 	if verbose {
@@ -341,8 +336,8 @@ func printBlock(w io.Writer, task, name string, res *lowenergy.Result, verbose, 
 }
 
 // blockJSON is the machine-readable per-block summary. Stats reuses the
-// canonical core.RunStats JSON schema (shared with leabench -json, leaload
-// -json and leaserved /statsz) instead of an ad-hoc field set.
+// canonical core.RunStats JSON schema (shared with leabench -json and the
+// leaserved /v1/allocate response) instead of an ad-hoc field set.
 type blockJSON struct {
 	Task            string              `json:"task"`
 	Block           string              `json:"block"`

@@ -40,7 +40,6 @@ func Zones() []Zone {
 			{Name: "Scratch.installCosts"},
 			{Name: "Scratch.preparedFor"},
 			{Name: "Scratch.patchSupplies"},
-			{Name: "Scratch.restoreResidual"},
 			{Name: "costsEqual"},
 			// The SSP engine under the warm path: pathfinding, potentials and
 			// the priority queue.

@@ -18,10 +18,6 @@ import (
 type Options struct {
 	// Registers is the register-file size R; the flow shipped from s to t.
 	Registers int
-	// Engine names the min-cost-flow engine ("ssp", "cyclecancel",
-	// "costscale"); empty selects the package default (see
-	// SetDefaultEngine), normally SSP.
-	Engine string
 	// Memory restricts memory access times (§5.2); lifetime.FullSpeed means
 	// unrestricted.
 	Memory lifetime.MemoryAccess

@@ -15,11 +15,10 @@ import (
 // pipeline is Split → Pin → Build → Solve → Decode; each stage's wall time
 // is recorded, plus the sizes that drive them and the solver's own work
 // counters. The JSON tags are the one canonical machine-readable schema,
-// shared by leaflow -json, leabench -json, leaload -json and the leaserved
-// /statsz endpoint; durations serialise as nanoseconds.
+// shared by leaflow -json, the run_stats of leabench -json and the stats of
+// every block a leaserved /v1/allocate response returns; durations
+// serialise as nanoseconds.
 type RunStats struct {
-	// Engine is the min-cost-flow engine that solved the network.
-	Engine string `json:"engine"`
 	// Per-stage wall times.
 	SplitTime  time.Duration `json:"split_ns"`
 	PinTime    time.Duration `json:"pin_ns"`
@@ -34,8 +33,8 @@ type RunStats struct {
 	// Nodes and Arcs size the constructed flow network.
 	Nodes int `json:"nodes"`
 	Arcs  int `json:"arcs"`
-	// Solver holds the engine's work counters (augmentations, Dijkstra
-	// iterations, relabels, ...).
+	// Solver holds the engine's name and work counters (augmentations,
+	// Dijkstra iterations, ...).
 	Solver flow.SolveStats `json:"solver"`
 }
 
@@ -48,38 +47,25 @@ func (st RunStats) String() string {
 		st.SolveTime, st.Solver.String(), st.DecodeTime, st.TotalTime)
 }
 
-// Pipeline is the §5 allocation pipeline with its engine resolved and solver
-// scratch space retained across runs, so allocating many blocks (or
-// re-solving under port constraints) stops allocating per solve. A Pipeline
-// is not safe for concurrent use; give each goroutine its own.
+// Pipeline is the §5 allocation pipeline with its solver scratch space
+// retained across runs, so allocating many blocks (or re-solving under port
+// constraints) stops allocating per solve. A Pipeline is not safe for
+// concurrent use; give each goroutine its own.
 type Pipeline struct {
 	opts    Options
-	engine  flow.Engine
 	scratch *flow.Scratch
 }
 
-// NewPipeline validates the options, resolves the engine by name and returns
-// a ready pipeline.
+// NewPipeline validates the options and returns a ready pipeline.
 func NewPipeline(opts Options) (*Pipeline, error) {
 	if opts.Registers < 0 {
 		return nil, fmt.Errorf("core: negative register count %d", opts.Registers)
 	}
-	name := opts.Engine
-	if name == "" {
-		name = DefaultEngine()
-	}
-	e, err := flow.EngineByName(name)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return &Pipeline{opts: opts, engine: e, scratch: flow.NewScratch()}, nil
+	return &Pipeline{opts: opts, scratch: flow.NewScratch()}, nil
 }
 
 // Options returns the pipeline's configuration.
 func (p *Pipeline) Options() Options { return p.opts }
-
-// Engine returns the resolved engine name.
-func (p *Pipeline) Engine() string { return p.engine.Name() }
 
 // Allocate runs the staged pipeline — Split → Pin → Build → Solve → Decode —
 // on a lifetime set, attaching per-stage RunStats to the result. It is
@@ -151,34 +137,6 @@ func (p *Pipeline) pin(grouped [][]lifetime.Segment, stats *RunStats) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// defaultEngine is the engine name used when Options.Engine is empty;
-// settable so CLIs can steer every allocation they trigger (leabench
-// -solver) without threading a name through each experiment.
-var (
-	defaultEngineMu sync.RWMutex
-	defaultEngine   = "ssp"
-)
-
-// DefaultEngine returns the engine name used when Options.Engine is empty.
-func DefaultEngine() string {
-	defaultEngineMu.RLock()
-	defer defaultEngineMu.RUnlock()
-	return defaultEngine
-}
-
-// SetDefaultEngine changes the engine used when Options.Engine is empty,
-// validating the name.
-func SetDefaultEngine(name string) error {
-	e, err := flow.EngineByName(name)
-	if err != nil {
-		return err
-	}
-	defaultEngineMu.Lock()
-	defer defaultEngineMu.Unlock()
-	defaultEngine = e.Name()
 	return nil
 }
 

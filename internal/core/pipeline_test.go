@@ -17,41 +17,6 @@ func fig1Opts(registers int) core.Options {
 	}
 }
 
-// TestEngineSelection: every engine name threads through Options.Engine to the
-// same optimal allocation, and the resolved name lands in Result.Stats.
-func TestEngineSelection(t *testing.T) {
-	set := workload.Figure1()
-	ref := allocate(t, set, fig1Opts(2))
-	for _, name := range []string{"", "ssp", "cyclecancel", "costscale"} {
-		opts := fig1Opts(2)
-		opts.Engine = name
-		r := allocate(t, set, opts)
-		if r.TotalEnergy != ref.TotalEnergy {
-			t.Errorf("engine %q: energy %v, want %v", name, r.TotalEnergy, ref.TotalEnergy)
-		}
-		want := name
-		if want == "" {
-			want = "ssp"
-		}
-		if r.Stats.Engine != want {
-			t.Errorf("engine %q: stats engine %q", name, r.Stats.Engine)
-		}
-	}
-}
-
-func TestUnknownEngineRejected(t *testing.T) {
-	opts := fig1Opts(2)
-	opts.Engine = "simplex"
-	if _, err := core.Allocate(workload.Figure1(), opts); err == nil {
-		t.Fatal("unknown engine accepted")
-	} else if !strings.Contains(err.Error(), "unknown engine") {
-		t.Fatalf("error %q", err)
-	}
-	if _, err := core.NewPipeline(opts); err == nil {
-		t.Fatal("NewPipeline accepted unknown engine")
-	}
-}
-
 // TestRunStatsPopulated: a successful allocation reports stage sizes, stage
 // times and solver counters, and its total time covers its stage sum — for
 // core.Allocate and for the first Result after core.Prepare, the one that
@@ -101,9 +66,6 @@ func TestPipelineReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Engine() != "ssp" {
-		t.Fatalf("engine %q", p.Engine())
-	}
 	set := workload.Figure1()
 	ref := allocate(t, set, fig1Opts(2))
 	for i := 0; i < 5; i++ {
@@ -123,26 +85,6 @@ func TestPipelineReuse(t *testing.T) {
 	}
 }
 
-func TestDefaultEngineSetting(t *testing.T) {
-	if core.DefaultEngine() != "ssp" {
-		t.Fatalf("default %q", core.DefaultEngine())
-	}
-	if err := core.SetDefaultEngine("cycle-cancelling"); err != nil {
-		t.Fatal(err)
-	}
-	defer core.SetDefaultEngine("ssp")
-	if core.DefaultEngine() != "cyclecancel" {
-		t.Fatalf("default %q after set", core.DefaultEngine())
-	}
-	r := allocate(t, workload.Figure1(), fig1Opts(2))
-	if r.Stats.Engine != "cyclecancel" {
-		t.Fatalf("stats engine %q", r.Stats.Engine)
-	}
-	if err := core.SetDefaultEngine("simplex"); err == nil {
-		t.Fatal("unknown default accepted")
-	}
-}
-
 func TestStatsCollector(t *testing.T) {
 	var got []core.RunStats
 	core.SetStatsCollector(func(st core.RunStats) { got = append(got, st) })
@@ -152,7 +94,7 @@ func TestStatsCollector(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("collected %d runs, want 2", len(got))
 	}
-	if got[0].Engine != "ssp" || got[0].Segments != 5 {
+	if got[0].Solver.Engine != "ssp" || got[0].Segments != 5 {
 		t.Fatalf("collected %+v", got[0])
 	}
 }

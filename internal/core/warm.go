@@ -21,7 +21,6 @@ import (
 // goroutine its own.
 type Prepared struct {
 	opts      Options
-	engine    flow.Engine
 	scratch   *flow.Scratch
 	tpl       *netbuild.Template
 	baseStats RunStats        // sizes for every run; prepare timings until one run reports them
@@ -42,13 +41,13 @@ func Prepare(set *lifetime.Set, opts Options) (*Prepared, error) {
 }
 
 // Prepare runs the pipeline's Split → Pin → Build stages once and returns
-// the reusable problem. The Prepared shares the pipeline's engine and solver
-// scratch: interleaving Pipeline.Allocate and Prepared.Allocate is legal but
+// the reusable problem. The Prepared shares the pipeline's solver scratch:
+// interleaving Pipeline.Allocate and Prepared.Allocate is legal but
 // forfeits the warm start (each Pipeline.Allocate prepares its own network
 // on the shared scratch, evicting the prepared residual).
 func (p *Pipeline) Prepare(set *lifetime.Set) (*Prepared, error) {
 	start := time.Now()
-	stats := RunStats{Engine: p.engine.Name()}
+	var stats RunStats
 	grouped, err := p.split(set, &stats)
 	if err != nil {
 		return nil, err
@@ -70,7 +69,6 @@ func (p *Pipeline) Prepare(set *lifetime.Set) (*Prepared, error) {
 	stats.TotalTime = time.Since(start)
 	return &Prepared{
 		opts:      p.opts,
-		engine:    p.engine,
 		scratch:   p.scratch,
 		tpl:       tpl,
 		baseStats: stats,
@@ -142,7 +140,7 @@ func (pre *Prepared) allocate(registers int, co netbuild.CostOptions, costs []in
 	b := pre.tpl.Build
 	t0 := time.Now()
 	sol := &pre.sol
-	err := b.Net.MinCostFlowValueWithCostsInto(pre.engine, costs, pre.scratch, b.S, b.T, int64(registers), sol, &pre.sst)
+	err := b.Net.MinCostFlowValueWithCostsInto(nil, costs, pre.scratch, b.S, b.T, int64(registers), sol, &pre.sst)
 	stats.SolveTime = time.Since(t0)
 	stats.Solver = pre.sst
 	if err != nil {

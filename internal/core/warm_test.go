@@ -122,8 +122,9 @@ func TestPreparedAnswersEqualCold(t *testing.T) {
 }
 
 // TestPreparedMatchesCycleCancelling cross-checks the warm-started optimum
-// against the independent cold-start cycle-cancelling engine on every cell
-// of a register × cost-model grid — the paper's optimality guarantee must
+// against the independent cold-start cycle-cancelling engine, solving the
+// template's own network under the same cost vector, on every cell of a
+// register × cost-model grid — the paper's optimality guarantee must
 // survive the warm start.
 func TestPreparedMatchesCycleCancelling(t *testing.T) {
 	set := workload.Figure1()
@@ -132,23 +133,26 @@ func TestPreparedMatchesCycleCancelling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccOpts := opts
-	ccOpts.Engine = "cyclecancel"
+	b := pre.Template().Build
 	for _, co := range []netbuild.CostOptions{staticCO(), activityCO(energy.ConstHamming(0.3))} {
+		costs, _, err := pre.Template().CostVector(co)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for regs := 0; regs <= 4; regs++ {
 			warm, errW := pre.Allocate(regs, co)
-			ccOpts.Registers = regs
-			ccOpts.Cost = co
-			cc, errC := core.Allocate(set, ccOpts)
+			var cc flow.Solution
+			var st flow.SolveStats
+			errC := b.Net.MinCostFlowValueWithCostsInto(flow.CycleCancelling, costs, nil, b.S, b.T, int64(regs), &cc, &st)
 			if (errW == nil) != (errC == nil) {
 				t.Fatalf("co=%v R=%d: warm err %v, cyclecancel err %v", co.Style, regs, errW, errC)
 			}
 			if errW != nil {
 				continue
 			}
-			if warm.Solution.Cost != cc.Solution.Cost {
+			if warm.Solution.Cost != cc.Cost {
 				t.Errorf("co=%v R=%d: warm objective %d, cyclecancel %d",
-					co.Style, regs, warm.Solution.Cost, cc.Solution.Cost)
+					co.Style, regs, warm.Solution.Cost, cc.Cost)
 			}
 		}
 	}

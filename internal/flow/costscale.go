@@ -1,31 +1,23 @@
 package flow
 
-// costScale solves for a flow of `required` units from s to t on the
-// residual network by reducing to a minimum-cost circulation: a t->s return
-// arc with a strongly negative cost forces the flow value to the maximum
-// (capped at required), after which ε-scaling drives the circulation to
-// optimality.
+// costScale ships `required` units from s to t with Dinic, as cycleCancel
+// does, then refines that feasible flow to a minimum-cost one by ε-scaling
+// push-relabel. Refinement only reroutes flow around residual cycles, so the
+// shipped value stays at required and the residual keeps its arcs.
 func costScale(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, error) {
 	r := &sc.r
 	if required == 0 {
 		return 0, nil
 	}
-	// Return arc: cheaper than any simple path's total cost, so every unit
-	// of s->t flow pays for itself. Storage holds each cost twice (forward
-	// and negated reverse), so the absolute sum halves.
-	var absSum int64
-	for _, c := range r.cost {
-		if c < 0 {
-			c = -c
-		}
-		absSum += c
+	shipped := dinic(r, s, t, required)
+	if shipped < required {
+		return shipped, nil // caller reports ErrInfeasible
 	}
-	costSum := 1 + absSum/2
-	back := r.addPair(t, s, required, -costSum)
-	r.ensureCSR()
 
-	n := int64(r.n)
-	// Work with costs scaled by n so ε < 1 certifies optimality.
+	// Work with costs scaled by n+1: a flow that is 1-optimal under the
+	// scaled costs is 1/(n+1)-optimal under the integer ones, which
+	// certifies optimality because every residual cycle has at most n arcs.
+	n := int64(r.n) + 1
 	cost := make([]int64, len(r.cost))
 	var maxC int64
 	for i, c := range r.cost {
@@ -37,6 +29,8 @@ func costScale(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, er
 			maxC = c * n
 		}
 	}
+	// With zero prices every residual arc's reduced cost is at least -maxC:
+	// Dinic's flow is maxC-optimal, where the first phase starts.
 	price := make([]int64, r.n)
 	excess := make([]int64, r.n)
 
@@ -118,11 +112,5 @@ func costScale(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, er
 			}
 		}
 	}
-
-	shipped := r.flowOn(back)
-	// Neutralise the return arc so the caller's flow extraction sees pure
-	// s->t flow.
-	r.capR[r.pos[back]] = 0
-	r.capR[r.pos[back^1]] = 0
 	return shipped, nil
 }

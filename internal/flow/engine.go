@@ -6,18 +6,19 @@ import (
 	"time"
 )
 
-// Engine is a min-cost-flow solution engine. Three implementations exist —
-// successive shortest paths (the production default), cycle cancelling and
-// cost-scaling push-relabel — all certified to return identical objectives.
-// The interface is exported for selection (EngineByName,
-// MinCostFlowValueWithCostsInto); the solve method works on the
-// package-private residual representation, so external packages choose
-// engines but cannot implement new ones.
+// Engine is a min-cost-flow solution engine. Successive shortest paths is
+// the one every caller above this package runs; cycle cancelling and
+// cost-scaling push-relabel stay exported as the reference engines the
+// cross-check tests compare it against, all certified to return identical
+// objectives. The solve method works on the package-private residual
+// representation, so external packages pick an engine but cannot implement
+// a new one.
 type Engine interface {
-	// Name is the engine's canonical selection name.
+	// Name is the engine's canonical name.
 	Name() string
 	// run ships up to required units from s to t on the scratch's residual,
-	// recording work counters into st. It returns the amount shipped.
+	// recording work counters into st. It returns the amount shipped. It
+	// may move flow but never adds or removes residual arcs.
 	run(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, error)
 }
 
@@ -29,49 +30,29 @@ var (
 	// CycleCancelling establishes a feasible flow with Dinic and cancels
 	// negative-cost residual cycles; an independent cross-check.
 	CycleCancelling Engine = cycleCancelSolver{}
-	// CostScaling is Goldberg–Tarjan cost-scaling push-relabel, the
-	// "very efficient algorithms" class of the paper's ref. [17].
+	// CostScaling refines Dinic's feasible flow with Goldberg–Tarjan
+	// cost-scaling push-relabel, the "very efficient algorithms" class of
+	// the paper's ref. [17]; an independent cross-check.
 	CostScaling Engine = costScaleSolver{}
 )
 
-// engineNames are the canonical names, in preference order; enginesByName
-// additionally admits common spelling variants.
-var engineNames = []string{"ssp", "cyclecancel", "costscale"}
-
-var enginesByName = map[string]Engine{
-	"ssp":              SSP,
-	"cyclecancel":      CycleCancelling,
-	"cycle-cancel":     CycleCancelling,
-	"cyclecancelling":  CycleCancelling,
-	"cycle-cancelling": CycleCancelling,
-	"costscale":        CostScaling,
-	"cost-scale":       CostScaling,
-	"costscaling":      CostScaling,
-	"cost-scaling":     CostScaling,
-}
-
-// EngineNames lists the canonical engine names accepted by EngineByName.
-func EngineNames() []string {
-	return append([]string(nil), engineNames...)
-}
-
-// EngineByName resolves an engine by name. The empty string selects the
-// default (SSP).
+// EngineByName resolves an engine by its canonical name; the empty string
+// selects SSP.
 func EngineByName(name string) (Engine, error) {
-	if name == "" {
+	switch name {
+	case "", "ssp":
 		return SSP, nil
+	case "cyclecancel":
+		return CycleCancelling, nil
+	case "costscale":
+		return CostScaling, nil
 	}
-	if e, ok := enginesByName[strings.ToLower(name)]; ok {
-		return e, nil
-	}
-	return nil, fmt.Errorf("flow: unknown engine %q (have: %s)", name, strings.Join(engineNames, ", "))
+	return nil, fmt.Errorf("flow: unknown engine %q (have: ssp, cyclecancel, costscale)", name)
 }
 
 // SolveStats summarises the work one solve performed; which counters are
-// populated depends on the engine. The JSON tags are the one canonical
-// machine-readable schema, shared by leaflow -json, leabench -json, leaload
-// -json and the leaserved /statsz endpoint; durations serialise as
-// nanoseconds.
+// populated depends on the engine. Its JSON is the "solver" object of
+// core.RunStats; durations serialise as nanoseconds.
 type SolveStats struct {
 	// Engine is the name of the engine that ran.
 	Engine string `json:"engine"`
@@ -159,7 +140,6 @@ type prepared struct {
 	valid    bool
 	net      *Network // identity of the prepared network
 	n, m     int      // node/arc counts at prepare time (guards mutation)
-	arcs     int      // residual arc count (len r.to)
 	s, t     int
 	required int64
 	initCap  []int64 // zero-flow residual capacities
@@ -228,7 +208,6 @@ func (sc *Scratch) resetResidual(n, arcHint int) *residual {
 	r := &sc.r
 	r.n = n
 	r.dirty = true
-	r.permuted = false
 	want := 2 * arcHint
 	if cap(r.to) < want {
 		r.tail = make([]int32, 0, want)

@@ -12,9 +12,11 @@
 //     delta, after repairing the potentials from the widened super arcs;
 //     every other re-solve starts from fresh potentials, so it returns the
 //     cold solve's flow;
-//   - three engines behind that path: successive shortest paths with node
-//     potentials (polynomial time, the primary engine), and cycle
-//     cancelling and cost-scaling push-relabel as independent cross-checks;
+//   - successive shortest paths with node potentials as the engine behind
+//     that path, the one every caller above this package runs; cycle
+//     cancelling and cost-scaling push-relabel, both starting from Dinic's
+//     feasible flow, stay exported as the reference engines the
+//     cross-check tests solve with directly;
 //   - a Dinic maximum-flow solver used as a substrate and for feasibility.
 //
 // Costs are int64 fixed-point values: callers quantise their (float) energy
@@ -198,15 +200,12 @@ type residual struct {
 	pos  []int32 // pos[i] = storage position of raw arc index i
 	// CSR index, valid while dirty is false.
 	start []int32 // len n+1; start[v] = first storage position of node v
-	// ensureCSR / raw-order restore scratch.
+	// ensureCSR scratch.
 	cursor []int32
 	perm   []int32
 	tmp32  []int32
 	tmp64  []int64
 	dirty  bool
-	// permuted marks that storage order differs (or may differ) from raw
-	// order; truncate must gather back to raw order before shedding arcs.
-	permuted bool
 }
 
 func newResidual(n, arcHint int) *residual {
@@ -243,61 +242,6 @@ func (r *residual) addPair(u, v int, c, w int64) int {
 	r.rev = append(r.rev, int32(idx+1), int32(idx))
 	r.dirty = true
 	return idx
-}
-
-// truncate drops arcs appended after the first m, marking the CSR index
-// stale when anything was removed (the warm-start reset uses this to shed a
-// cost-scaling return arc left over from a previous solve). Storage is
-// gathered back to raw order first so the surviving prefix is exactly raw
-// arcs [0, m).
-func (r *residual) truncate(m int) {
-	if len(r.to) == m {
-		return
-	}
-	if r.permuted {
-		r.restoreRawOrder()
-	}
-	r.tail = r.tail[:m]
-	r.to = r.to[:m]
-	r.capR = r.capR[:m]
-	r.cost = r.cost[:m]
-	r.pos = r.pos[:m]
-	r.rev = r.rev[:m]
-	r.dirty = true
-}
-
-// restoreRawOrder gathers storage back into raw arc-index order (the inverse
-// of the CSR permutation), after which pos is the identity and rev the plain
-// pair linkage. Cold-path only: warm re-solves never leave CSR order.
-func (r *residual) restoreRawOrder() {
-	m := len(r.to)
-	r.tmp32 = grow32(r.tmp32, m)
-	r.tmp64 = grow64(r.tmp64, m)
-	gather32 := func(dst []int32) {
-		for i := 0; i < m; i++ {
-			r.tmp32[i] = dst[r.pos[i]]
-		}
-		copy(dst, r.tmp32)
-	}
-	gather64 := func(dst []int64) {
-		for i := 0; i < m; i++ {
-			r.tmp64[i] = dst[r.pos[i]]
-		}
-		copy(dst, r.tmp64)
-	}
-	gather32(r.tail)
-	gather32(r.to)
-	gather64(r.capR)
-	gather64(r.cost)
-	for i := 0; i < m; i++ {
-		r.pos[i] = int32(i)
-	}
-	for i := 0; i+1 < m; i += 2 {
-		r.rev[i] = int32(i + 1)
-		r.rev[i+1] = int32(i)
-	}
-	r.permuted = false
-	r.dirty = true
 }
 
 // ensureCSR (re)builds the CSR layout if arcs or nodes changed since the last
@@ -366,7 +310,6 @@ func (r *residual) ensureCSR() {
 			r.rev[p] = q
 			r.rev[q] = p
 		}
-		r.permuted = true
 	}
 	r.dirty = false
 }

@@ -90,8 +90,7 @@ func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, sol *Sol
 		// incremental sensitivity argument below, and the hot case of a
 		// serving workload repeating identical requests. The engine then
 		// ships nothing and the solution is re-extracted from the residual.
-		incremental = sc.solved && e == SSP &&
-			len(sc.r.to) == sc.prep.arcs && costsEqual(sc.lastCosts, costs)
+		incremental = sc.solved && e == SSP && costsEqual(sc.lastCosts, costs)
 	} else if ok, grew := sc.patchSupplies(nw); ok {
 		st.WarmStart = true
 		// An optimal flow for a smaller value plus shortest-path
@@ -100,8 +99,7 @@ func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, sol *Sol
 		// is still present and optimal under the SAME costs and every
 		// supply change widened a super arc (shrinking would require
 		// removing flow). repairPotentials below re-certifies optimality.
-		incremental = grew && sc.solved && e == SSP &&
-			len(sc.r.to) == sc.prep.arcs && costsEqual(sc.lastCosts, costs)
+		incremental = grew && sc.solved && e == SSP && costsEqual(sc.lastCosts, costs)
 	} else if err := sc.prepare(nw); err != nil {
 		return err
 	}
@@ -123,9 +121,11 @@ func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, sol *Sol
 		}
 	}
 	if !incremental {
-		// A full re-solve, warm or cold, starts from initPotentials, so it
-		// runs exactly the cold solve's rounds and returns its flow.
-		r = sc.restoreResidual()
+		// A full re-solve, warm or cold, resets the zero-flow capacities from
+		// prepare's storage-ordered snapshot and starts from initPotentials,
+		// so it runs exactly the cold solve's rounds and returns its flow. No
+		// engine adds or removes arcs, so prepare's CSR index still holds.
+		copy(r.capR, sc.prep.initCap)
 		sc.installCosts(costs)
 	}
 	pushed, err := e.run(sc, sc.prep.s, sc.prep.t, sc.prep.required-base, st)
@@ -139,8 +139,8 @@ func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, sol *Sol
 	// The residual now holds an optimal flow for these costs and supplies:
 	// the starting point for a future incremental re-solve. Engines other
 	// than SSP don't maintain the potential invariant the incremental path
-	// needs (and cost scaling appends a return arc), so only SSP records it.
-	if e == SSP && len(r.to) == sc.prep.arcs {
+	// needs, so only SSP records it.
+	if e == SSP {
 		sc.solved = true
 		sc.shipped = sc.prep.required
 		sc.lastCosts = append(sc.lastCosts[:0], costs...)
@@ -240,7 +240,6 @@ func (sc *Scratch) prepare(nw *Network) error {
 	p.net = nw
 	p.n = nw.n
 	p.m = len(nw.from)
-	p.arcs = len(r.to)
 	p.s, p.t, p.required = s, t, required
 	p.initCap = append(p.initCap[:0], r.capR...)
 	p.supply = append(p.supply[:0], nw.supply...)
@@ -260,7 +259,7 @@ func (sc *Scratch) prepare(nw *Network) error {
 // its super arc (|imbalance| non-decreasing everywhere), the precondition
 // for the incremental re-solve. Live residual capacities are bumped
 // alongside the snapshot so the incremental path can keep its flow; the
-// non-incremental path overwrites them in restoreResidual anyway.
+// non-incremental path overwrites them from the snapshot anyway.
 //
 //lea:noalloc
 func (sc *Scratch) patchSupplies(nw *Network) (ok, grew bool) {
@@ -330,19 +329,4 @@ func costsEqual(a, b []int64) bool {
 		}
 	}
 	return true
-}
-
-// restoreResidual resets the prepared residual to its zero-flow state: any
-// arcs a previous engine appended (cost scaling's return arc) dropped, the
-// CSR permutation re-established, capacities copied back from the snapshot
-// (which prepare took in storage order, after its own ensureCSR).
-//
-//lea:noalloc
-func (sc *Scratch) restoreResidual() *residual {
-	r := &sc.r
-	r.truncate(sc.prep.arcs)
-	r.ensureCSR()
-	r.capR = r.capR[:len(sc.prep.initCap)]
-	copy(r.capR, sc.prep.initCap)
-	return r
 }

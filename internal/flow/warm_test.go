@@ -3,6 +3,7 @@ package flow
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -105,9 +106,9 @@ func TestWarmStartPropertyAllEngines(t *testing.T) {
 	}
 }
 
-// TestSolveWithCostsEngines drives the warm path through every engine —
-// the residual cost swap is engine-agnostic — including cost scaling, whose
-// appended return arc the warm reset must shed between solves.
+// TestSolveWithCostsEngines drives the warm path through every engine: the
+// residual cost swap and capacity reset are engine-agnostic, so every
+// engine's re-solve on a retained scratch must keep the cold objective.
 func TestSolveWithCostsEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, e := range engines() {
@@ -137,6 +138,40 @@ func TestSolveWithCostsEngines(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEnginesKeepResidualTopology: no engine adds or removes residual arcs,
+// so after any engine's solve the scratch holds exactly the arcs prepare
+// built, with a clean CSR index, and an SSP re-solve on it returns the cold
+// flow arc for arc.
+func TestEnginesKeepResidualTopology(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	sc := NewScratch()
+	for i := 0; i < 60; i++ {
+		nw, s, tt, value := randomInstance(rng)
+		nw.AddSupply(s, value)
+		nw.AddSupply(tt, -value)
+		costs := arcCosts(nw)
+		cold, _, errCold := bflow(nw, SSP, costs, nil)
+		for _, e := range engines() {
+			if _, _, err := bflow(nw, e, costs, sc); (err == nil) != (errCold == nil) {
+				t.Fatalf("instance %d: %s err %v, cold err %v", i, e.Name(), err, errCold)
+			}
+			r := &sc.r
+			if len(r.to) != len(sc.prep.initCap) || r.dirty || len(r.start) != r.n+1 {
+				t.Fatalf("instance %d: after %s the residual holds %d arcs (prepared %d), dirty=%t, %d CSR offsets for %d nodes",
+					i, e.Name(), len(r.to), len(sc.prep.initCap), r.dirty, len(r.start), r.n)
+			}
+			warm, _, err := bflow(nw, SSP, costs, sc)
+			if (err == nil) != (errCold == nil) {
+				t.Fatalf("instance %d: SSP re-solve after %s err %v, cold err %v", i, e.Name(), err, errCold)
+			}
+			if errCold == nil && !slices.Equal(warm.FlowByArc, cold.FlowByArc) {
+				t.Fatalf("instance %d: SSP re-solve after %s returned flow %v, cold %v",
+					i, e.Name(), warm.FlowByArc, cold.FlowByArc)
+			}
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ type Config struct {
 	// Resources bounds the list scheduler per block.
 	Resources sched.Resources
 	// Options is the per-block allocation configuration (registers, memory
-	// restriction, cost model, graph style, solver engine).
+	// restriction, cost model, graph style).
 	Options core.Options
 	// Hamming drives the second-stage memory binding; nil uses the
 	// half-switch default.

@@ -236,13 +236,13 @@ func TestVideoPipelineEndToEnd(t *testing.T) {
 
 // TestParallelMatchesSequential: Run with a worker pool must return results
 // byte-identical to the sequential path on the multimedia task workload
-// (S33), across engines.
+// (S33).
 func TestParallelMatchesSequential(t *testing.T) {
 	prog, err := workload.VideoPipeline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseCfg := Config{
+	cfg := Config{
 		Resources: sched.Resources{ALUs: 2, Multipliers: 1},
 		Options: core.Options{
 			Registers: 6,
@@ -251,77 +251,59 @@ func TestParallelMatchesSequential(t *testing.T) {
 			Cost:      netbuild.CostOptions{Style: energy.Static, Model: energy.OnChip256x16()},
 		},
 		AllowExternalInputs: true,
+		Workers:             1,
 	}
-	for _, engine := range []string{"", "ssp", "cyclecancel", "costscale"} {
-		cfg := baseCfg
-		cfg.Options.Engine = engine
-		cfg.Workers = 1
-		seq, err := Run(prog, cfg)
+	seq, err := Run(prog, cfg)
+	if err != nil {
+		t.Fatalf("sequential: %v", err)
+	}
+	var seqSum strings.Builder
+	if err := seq.Summary(&seqSum); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4, 16} {
+		cfg.Workers = workers
+		par, err := Run(prog, cfg)
 		if err != nil {
-			t.Fatalf("engine %q sequential: %v", engine, err)
+			t.Fatalf("workers %d: %v", workers, err)
 		}
-		var seqSum strings.Builder
-		if err := seq.Summary(&seqSum); err != nil {
+		var parSum strings.Builder
+		if err := par.Summary(&parSum); err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4, 16} {
-			cfg.Workers = workers
-			par, err := Run(prog, cfg)
-			if err != nil {
-				t.Fatalf("engine %q workers %d: %v", engine, workers, err)
-			}
-			var parSum strings.Builder
-			if err := par.Summary(&parSum); err != nil {
-				t.Fatal(err)
-			}
-			if seqSum.String() != parSum.String() {
-				t.Fatalf("engine %q workers %d: summary differs:\n--- sequential ---\n%s--- parallel ---\n%s",
-					engine, workers, seqSum.String(), parSum.String())
-			}
-			if par.TotalEnergy != seq.TotalEnergy || par.BaselineEnergy != seq.BaselineEnergy ||
-				par.Counts != seq.Counts || par.PeakMemoryLocations != seq.PeakMemoryLocations ||
-				par.PeakRegistersUsed != seq.PeakRegistersUsed {
-				t.Fatalf("engine %q workers %d: aggregates differ: %+v vs %+v", engine, workers, par, seq)
-			}
-			if len(par.Blocks) != len(seq.Blocks) {
-				t.Fatalf("engine %q workers %d: %d blocks vs %d", engine, workers, len(par.Blocks), len(seq.Blocks))
-			}
-			for i := range par.Blocks {
-				pb, sb := par.Blocks[i], seq.Blocks[i]
-				if pb.Task != sb.Task || pb.Block != sb.Block {
-					t.Fatalf("block order differs at %d: %s/%s vs %s/%s", i, pb.Task, pb.Block, sb.Task, sb.Block)
-				}
-				if pb.Result.TotalEnergy != sb.Result.TotalEnergy ||
-					pb.Result.RegistersUsed != sb.Result.RegistersUsed ||
-					pb.Result.Counts != sb.Result.Counts {
-					t.Fatalf("block %s: result differs", pb.Block)
-				}
-				if len(pb.Result.InRegister) != len(sb.Result.InRegister) {
-					t.Fatalf("block %s: segment count differs", pb.Block)
-				}
-				for k := range pb.Result.InRegister {
-					if pb.Result.InRegister[k] != sb.Result.InRegister[k] || pb.Result.RegOf[k] != sb.Result.RegOf[k] {
-						t.Fatalf("block %s: segment %d residence differs", pb.Block, k)
-					}
-				}
-				if pb.Binding.Locations != sb.Binding.Locations {
-					t.Fatalf("block %s: binding differs", pb.Block)
-				}
-			}
+		if seqSum.String() != parSum.String() {
+			t.Fatalf("workers %d: summary differs:\n--- sequential ---\n%s--- parallel ---\n%s",
+				workers, seqSum.String(), parSum.String())
 		}
-	}
-}
-
-// TestRunRejectsUnknownEngine: an invalid engine name surfaces as a
-// configuration error from both the sequential and parallel paths.
-func TestRunRejectsUnknownEngine(t *testing.T) {
-	prog := parse(t, twoBlockSrc)
-	for _, workers := range []int{1, 4} {
-		cfg := config()
-		cfg.Options.Engine = "simplex"
-		cfg.Workers = workers
-		if _, err := Run(prog, cfg); err == nil || !strings.Contains(err.Error(), "unknown engine") {
-			t.Fatalf("workers %d: err %v, want unknown engine", workers, err)
+		if par.TotalEnergy != seq.TotalEnergy || par.BaselineEnergy != seq.BaselineEnergy ||
+			par.Counts != seq.Counts || par.PeakMemoryLocations != seq.PeakMemoryLocations ||
+			par.PeakRegistersUsed != seq.PeakRegistersUsed {
+			t.Fatalf("workers %d: aggregates differ: %+v vs %+v", workers, par, seq)
+		}
+		if len(par.Blocks) != len(seq.Blocks) {
+			t.Fatalf("workers %d: %d blocks vs %d", workers, len(par.Blocks), len(seq.Blocks))
+		}
+		for i := range par.Blocks {
+			pb, sb := par.Blocks[i], seq.Blocks[i]
+			if pb.Task != sb.Task || pb.Block != sb.Block {
+				t.Fatalf("block order differs at %d: %s/%s vs %s/%s", i, pb.Task, pb.Block, sb.Task, sb.Block)
+			}
+			if pb.Result.TotalEnergy != sb.Result.TotalEnergy ||
+				pb.Result.RegistersUsed != sb.Result.RegistersUsed ||
+				pb.Result.Counts != sb.Result.Counts {
+				t.Fatalf("block %s: result differs", pb.Block)
+			}
+			if len(pb.Result.InRegister) != len(sb.Result.InRegister) {
+				t.Fatalf("block %s: segment count differs", pb.Block)
+			}
+			for k := range pb.Result.InRegister {
+				if pb.Result.InRegister[k] != sb.Result.InRegister[k] || pb.Result.RegOf[k] != sb.Result.RegOf[k] {
+					t.Fatalf("block %s: segment %d residence differs", pb.Block, k)
+				}
+			}
+			if pb.Binding.Locations != sb.Binding.Locations {
+				t.Fatalf("block %s: binding differs", pb.Block)
+			}
 		}
 	}
 }

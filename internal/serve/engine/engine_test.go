@@ -312,28 +312,21 @@ func TestPrepareTimeCountedOnce(t *testing.T) {
 	}
 }
 
-// TestEngineSpellingsShareTemplate: every spelling of one request shares
-// one template-cache entry and one shard route. The spellings are those of
-// an engine (the empty default, the canonical name, case and hyphen
-// variants, all resolving to the canonical name) and the empty style and
-// scheduler beside their defaults "density" and "list".
-func TestEngineSpellingsShareTemplate(t *testing.T) {
+// TestSpellingsShareTemplate: every spelling of one request shares one
+// template-cache entry and one shard route. The spellings are the empty
+// style and scheduler beside their defaults "density" and "list".
+func TestSpellingsShareTemplate(t *testing.T) {
 	ctx := context.Background()
-	for _, g := range []struct {
-		engine    string // canonical name every spelling runs as
-		spellings []RequestOptions
-	}{
-		{"ssp", []RequestOptions{{Engine: ""}, {Engine: "ssp"}, {Engine: "SSP"}}},
-		{"cyclecancel", []RequestOptions{{Engine: "cyclecancel"}, {Engine: "cycle-cancel"}}},
-		{"ssp", []RequestOptions{{Style: ""}, {Style: "density"}}},
-		{"ssp", []RequestOptions{{Scheduler: ""}, {Scheduler: "list"}}},
+	for _, spellings := range [][]RequestOptions{
+		{{Style: ""}, {Style: "density"}},
+		{{Scheduler: ""}, {Scheduler: "list"}},
 	} {
 		// A fresh engine per group, so only the group's first spelling can
 		// prepare the template the others must hit.
 		e := New(Config{Workers: 1, QueueDepth: 4})
 		var first *BlockResult
 		var firstKey string
-		for i, o := range g.spellings {
+		for i, o := range spellings {
 			spelled := o
 			o.Registers = 2
 			req := Request{Program: testPrograms[1], Options: o}
@@ -343,18 +336,15 @@ func TestEngineSpellingsShareTemplate(t *testing.T) {
 				t.Fatal(err)
 			}
 			b := &resp.Blocks[0]
-			if b.Stats.Engine != g.engine {
-				t.Errorf("%+v ran as engine %q, want %q", spelled, b.Stats.Engine, g.engine)
-			}
 			if i == 0 {
 				first, firstKey = b, key
 				continue
 			}
 			if key != firstKey {
-				t.Errorf("%+v routes apart from %+v", spelled, g.spellings[0])
+				t.Errorf("%+v routes apart from %+v", spelled, spellings[0])
 			}
 			if !b.CacheHit {
-				t.Errorf("%+v missed the template %+v prepared", spelled, g.spellings[0])
+				t.Errorf("%+v missed the template %+v prepared", spelled, spellings[0])
 			}
 			if b.Energy != first.Energy {
 				t.Errorf("%+v: energy %v, want %v", spelled, b.Energy, first.Energy)
@@ -542,7 +532,6 @@ func TestInvalidRequestsAreTyped(t *testing.T) {
 		{Program: ""},
 		{Program: "task t\nblock b\nnot valid tac\nend\n"},
 		{Program: testPrograms[0], Options: RequestOptions{Registers: -1}},
-		{Program: testPrograms[0], Options: RequestOptions{Engine: "nope"}},
 		{Program: testPrograms[0], Options: RequestOptions{Scheduler: "magic"}},
 		{Program: testPrograms[0], Options: RequestOptions{MemDivisor: MaxMemDivisor + 1}},
 	}

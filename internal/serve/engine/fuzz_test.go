@@ -16,7 +16,7 @@ func FuzzAllocateRequest(f *testing.F) {
 	seeds := []string{
 		// Valid: minimal, with options, multi-block options.
 		`{"program":"task t\nblock b\nin a b\nc = a + b\nout c\nend\n"}`,
-		`{"program":"task t\nblock b\nin a b\nc = a * b\nd = c + a\nout d\nend\n","options":{"registers":4,"mem_divisor":2,"engine":"ssp","style":"density","cost":"activity","scheduler":"asap"}}`,
+		`{"program":"task t\nblock b\nin a b\nc = a * b\nd = c + a\nout d\nend\n","options":{"registers":4,"mem_divisor":2,"style":"density","cost":"activity","scheduler":"asap"}}`,
 		`{"program":"task t\nblock b\nin x\ny = x + x\nout y\nend\n","options":{"scheduler":"fds","split_full":true}}`,
 		// Malformed envelopes.
 		``,
@@ -28,11 +28,12 @@ func FuzzAllocateRequest(f *testing.F) {
 		`{"program":123}`,
 		`{"prog":"unknown field"}`,
 		`{"program":"task t\nblock b\nin a\nout a\nend\n","options":{"bogus":true}}`,
+		// The removed engine option is an unknown field too.
+		"{\"program\":\"task t\\nblock b\\nin a b\\nc = a + b\\nout c\\nend\\n\",\"options\":{\"engine\":\"quantum\"}}",
 		// Valid JSON, hostile option values.
 		`{"program":"task t\nblock b\nin a b\nc = a + b\nout c\nend\n","options":{"registers":-3}}`,
 		`{"program":"task t\nblock b\nin a b\nc = a + b\nout c\nend\n","options":{"registers":1000000}}`,
 		`{"program":"task t\nblock b\nin a b\nc = a + b\nout c\nend\n","options":{"mem_divisor":9999}}`,
-		`{"program":"task t\nblock b\nin a b\nc = a + b\nout c\nend\n","options":{"engine":"quantum"}}`,
 		`{"program":"task t\nblock b\nin a b\nc = a + b\nout c\nend\n","options":{"scheduler":"../../etc"}}`,
 		// TAC-level breakage.
 		`{"program":"not a program"}`,

@@ -50,7 +50,8 @@ const histBuckets = 64
 
 // Histogram is a log-bucketed latency histogram: observations (nanoseconds)
 // land in power-of-two buckets, from which quantiles are estimated at the
-// geometric midpoint of the holding bucket. Safe for concurrent use.
+// arithmetic midpoint of the holding bucket, clamped to the observed min and
+// max. Safe for concurrent use.
 type Histogram struct {
 	mu      sync.Mutex
 	buckets [histBuckets]int64

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/energy"
-	"repro/internal/flow"
 	"repro/internal/ir"
 	"repro/internal/lifetime"
 	"repro/internal/netbuild"
@@ -37,9 +36,6 @@ type RequestOptions struct {
 	Registers int `json:"registers"`
 	// MemDivisor is the memory frequency divisor c (default 1, full speed).
 	MemDivisor int `json:"mem_divisor"`
-	// Engine selects the min-cost-flow engine ("ssp", "cyclecancel",
-	// "costscale"; default ssp).
-	Engine string `json:"engine"`
 	// Style selects the graph construction: "density" (default) or
 	// "allcompat".
 	Style string `json:"style"`
@@ -120,10 +116,9 @@ func DecodeRequest(r io.Reader, maxProgram int) (*Request, error) {
 	return &req, nil
 }
 
-// validateRequest applies defaults and range-checks the options. The engine
-// option is rewritten to the canonical name of the engine that will run, and
-// an empty style or scheduler to "density" or "list", so every spelling of
-// one request shares its cache entries and its route.
+// validateRequest applies defaults and range-checks the options. An empty
+// style or scheduler is rewritten to "density" or "list", so every spelling
+// of one request shares its cache entries and its route.
 func validateRequest(req *Request, maxProgram int) error {
 	if strings.TrimSpace(req.Program) == "" {
 		return badRequest("program", "empty program", nil)
@@ -144,11 +139,6 @@ func validateRequest(req *Request, maxProgram int) error {
 	if o.MemDivisor < 1 || o.MemDivisor > MaxMemDivisor {
 		return badRequest("options.mem_divisor", fmt.Sprintf("memory divisor %d outside [1, %d]", o.MemDivisor, MaxMemDivisor), nil)
 	}
-	eng, err := engineName(o.Engine)
-	if err != nil {
-		return badRequest("options.engine", "unknown engine", err)
-	}
-	o.Engine = eng
 	switch o.Style {
 	case "":
 		o.Style = "density"
@@ -180,21 +170,6 @@ func validateRequest(req *Request, maxProgram int) error {
 	return nil
 }
 
-// engineName resolves an engine option to the canonical name of the engine
-// that will run it: empty selects core's default the way core.NewPipeline
-// does, and spelling variants ("cycle-cancel", "SSP") collapse onto one
-// name.
-func engineName(name string) (string, error) {
-	if name == "" {
-		name = core.DefaultEngine()
-	}
-	e, err := flow.EngineByName(name)
-	if err != nil {
-		return "", err
-	}
-	return e.Name(), nil
-}
-
 // parseProgram parses the request's TAC text, wrapping syntax errors as
 // *RequestError.
 func parseProgram(req *Request) (*ir.Program, error) {
@@ -224,7 +199,6 @@ func coreOptions(o RequestOptions) (core.Options, netbuild.CostOptions) {
 	}
 	return core.Options{
 		Registers: o.Registers,
-		Engine:    o.Engine,
 		Memory:    lifetime.MemoryAccess{Period: o.MemDivisor, Offset: o.MemDivisor},
 		Split:     split,
 		Style:     style,
@@ -248,16 +222,15 @@ func schedule(b *ir.Block, o RequestOptions) (*sched.Schedule, error) {
 
 // cacheKey canonically hashes everything that determines the prepared flow
 // topology: the split-relevant options (memory restriction, split policy,
-// graph style, canonical engine name) and the exact lifetime-set shape,
-// variable names included — decoded results carry variable names, so two programs must
-// collide only when a cached template reproduces their cold allocation
-// byte-for-byte. The register count and cost model are deliberately
+// graph style) and the exact lifetime-set shape, variable names included —
+// decoded results carry variable names, so two programs must collide only
+// when a cached template reproduces their cold allocation byte-for-byte. The register count and cost model are deliberately
 // excluded: both are repriced per solve on the warm path.
 func cacheKey(set *lifetime.Set, o RequestOptions) string {
 	h := sha256.New()
 	var b strings.Builder
-	fmt.Fprintf(&b, "v1|div=%d|splitfull=%t|style=%s|engine=%s|steps=%d",
-		o.MemDivisor, o.SplitFull, o.Style, o.Engine, set.Steps)
+	fmt.Fprintf(&b, "v1|div=%d|splitfull=%t|style=%s|steps=%d",
+		o.MemDivisor, o.SplitFull, o.Style, set.Steps)
 	io.WriteString(h, b.String())
 	for i := range set.Lifetimes {
 		l := &set.Lifetimes[i]
@@ -281,8 +254,7 @@ func cacheKey(set *lifetime.Set, o RequestOptions) string {
 
 // RouteKey canonically hashes the request fields that determine which
 // prepared templates serve it: the program text and every shape-relevant
-// option (divisor, split policy, style, engine, scheduler and its resource
-// bounds). Register count and cost model are deliberately excluded — a
+// option (divisor, split policy, style, scheduler and its resource bounds). Register count and cost model are deliberately excluded — a
 // register or cost sweep over one program then lands on a single shard and
 // keeps re-solving that shard's warm templates. The key is computed on a
 // validated copy of the request, without the program-size limit, so every
@@ -295,8 +267,8 @@ func RouteKey(req *Request) string {
 	}
 	o := &v.Options
 	h := sha256.New()
-	fmt.Fprintf(h, "rk1|div=%d|splitfull=%t|style=%s|engine=%s|sched=%s|alus=%d|mults=%d|",
-		o.MemDivisor, o.SplitFull, o.Style, o.Engine, o.Scheduler, o.ALUs, o.Multipliers)
+	fmt.Fprintf(h, "rk1|div=%d|splitfull=%t|style=%s|sched=%s|alus=%d|mults=%d|",
+		o.MemDivisor, o.SplitFull, o.Style, o.Scheduler, o.ALUs, o.Multipliers)
 	io.WriteString(h, v.Program)
 	return hex.EncodeToString(h.Sum(nil))
 }

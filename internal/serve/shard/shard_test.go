@@ -67,7 +67,6 @@ func TestRouteKeyAffinity(t *testing.T) {
 	// HTTP transport).
 	validated := base()
 	validated.Options.MemDivisor = 1
-	validated.Options.Engine = "ssp"
 	validated.Options.Style = "density"
 	validated.Options.Scheduler = "list"
 	validated.Options.ALUs, validated.Options.Multipliers = 2, 1

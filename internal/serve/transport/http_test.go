@@ -8,19 +8,23 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/serve/engine"
 )
 
 // stubService answers every Allocate with a fixed result, so the
-// error-to-status mapping is tested without a live engine.
+// error-to-status mapping is tested without a live engine, and counts the
+// calls that reach it.
 type stubService struct {
-	resp *engine.Response
-	err  error
+	resp  *engine.Response
+	err   error
+	calls atomic.Int64
 }
 
 func (s *stubService) Allocate(ctx context.Context, req *engine.Request) (*engine.Response, error) {
+	s.calls.Add(1)
 	return s.resp, s.err
 }
 func (s *stubService) MaxProgramBytes() int { return engine.DefaultMaxProgramBytes }
@@ -72,28 +76,45 @@ func TestHTTPStatusMapping(t *testing.T) {
 	}
 }
 
-// TestHTTPRequestRejection pins the decode-side failures: malformed JSON and
-// non-POST methods never reach the backend.
+// TestHTTPRequestRejection pins the decode-side failures: malformed JSON, a
+// body naming an option the request schema does not have (the removed
+// engine choice) and non-POST methods never reach the backend.
 func TestHTTPRequestRejection(t *testing.T) {
-	srv := httptest.NewServer(NewMux(&stubService{resp: &engine.Response{}}))
+	stub := &stubService{resp: &engine.Response{}}
+	srv := httptest.NewServer(NewMux(stub))
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/v1/allocate", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body: status %d, want 400", resp.StatusCode)
+	for _, body := range []string{
+		"{",
+		"{\"program\":\"task t\\nblock b\\nin a b\\nc = a + b\\nout c\\nend\\n\",\"options\":{\"engine\":\"ssp\"}}",
+	} {
+		resp, err := http.Post(srv.URL+"/v1/allocate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb struct {
+			Kind string `json:"kind"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("body %s: decode error body: %v", body, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || eb.Kind != "bad_request" {
+			t.Errorf("body %s: status %d kind %q, want 400 %q", body, resp.StatusCode, eb.Kind, "bad_request")
+		}
 	}
 
-	resp, err = http.Get(srv.URL + "/v1/allocate")
+	resp, err := http.Get(srv.URL + "/v1/allocate")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET allocate: status %d, want 405", resp.StatusCode)
+	}
+	if n := stub.calls.Load(); n != 0 {
+		t.Errorf("backend called %d times by rejected requests", n)
 	}
 }
 

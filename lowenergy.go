@@ -18,15 +18,15 @@ import (
 // Core result and option types.
 type (
 	// Options configures an allocation run (register count, memory access
-	// restriction, split policy, graph style, cost model, solver engine).
+	// restriction, split policy, graph style, cost model).
 	Options = core.Options
 	// Result is a decoded allocation: register chains, memory partition,
 	// energies, access counts and port requirements.
 	Result = core.Result
 	// Allocator is a reusable staged allocation pipeline
-	// (Split → Pin → Build → Solve → Decode) with its solver engine resolved
-	// and scratch space retained across runs. Not safe for concurrent use;
-	// give each goroutine its own.
+	// (Split → Pin → Build → Solve → Decode) with its solver scratch space
+	// retained across runs. Not safe for concurrent use; give each goroutine
+	// its own.
 	Allocator = core.Pipeline
 	// RunStats reports per-stage wall time and solver work for one run.
 	RunStats = core.RunStats
@@ -156,9 +156,9 @@ func Lifetimes(s *Schedule) (*LifetimeSet, error) { return lifetime.FromSchedule
 // allocation on a lifetime set.
 func Allocate(set *LifetimeSet, opts Options) (*Result, error) { return core.Allocate(set, opts) }
 
-// NewAllocator validates opts, resolves its solver engine by name and
-// returns a reusable allocation pipeline. Allocating many blocks through
-// one Allocator reuses the solver's scratch space.
+// NewAllocator validates opts and returns a reusable allocation pipeline.
+// Allocating many blocks through one Allocator reuses the solver's scratch
+// space.
 func NewAllocator(opts Options) (*Allocator, error) { return core.NewPipeline(opts) }
 
 // Prepare splits, pins and builds the network for a lifetime set once
@@ -169,10 +169,6 @@ func NewAllocator(opts Options) (*Allocator, error) { return core.NewPipeline(op
 // changing the cost model swaps arc costs without rebuilding. Not safe for
 // concurrent use; give each goroutine its own Prepared.
 func Prepare(set *LifetimeSet, opts Options) (*Prepared, error) { return core.Prepare(set, opts) }
-
-// SolverNames lists the selectable min-cost-flow engine names (for
-// Options.Engine and the leaflow/leabench -solver flags).
-func SolverNames() []string { return flow.EngineNames() }
 
 // AllocateBlock is the full pipeline: schedule the block, derive lifetimes
 // and allocate.

@@ -41,7 +41,7 @@ for i in $(seq 2 120); do
   prog+="v$i = v$((i-1)) + v$((i-2))\n"
 done
 prog+="v121 = v120 * v119\nout v121\nend\n"
-printf '{"program":"%s","options":{"registers":4,"engine":"cyclecancel"}}' "$prog" >"$bin/big.json"
+printf '{"program":"%s","options":{"registers":4}}' "$prog" >"$bin/big.json"
 
 addr2=127.0.0.1:8312
 "$bin/leaserved" -addr "$addr2" -workers 1 -queue 1 >"$bin/serve2.log" 2>&1 &

@@ -238,7 +238,7 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 // under a fixed switching-activity oracle, on one worker. One op is one
 // Runner.Run, 12 solves: per divisor column a full solve per model at R = 13
 // and an incremental R→R+1 solve. It reports the SSP augmentations and
-// Dijkstra pops per solve.
+// Dijkstra pops per solve and the share of solves that ran incrementally.
 func BenchmarkRunnerRSP(b *testing.B) {
 	set, _, err := workload.RSP(workload.DefaultRSP)
 	if err != nil {
@@ -256,11 +256,14 @@ func BenchmarkRunnerRSP(b *testing.B) {
 	if _, err := rn.Run(); err != nil {
 		b.Fatal(err)
 	}
-	var solves, augmentations, pops int
+	var solves, augmentations, pops, incremental int
 	core.SetStatsCollector(func(st core.RunStats) {
 		solves++
 		augmentations += st.Solver.Augmentations
 		pops += st.Solver.DijkstraIters
+		if st.Solver.Incremental {
+			incremental++
+		}
 	})
 	defer core.SetStatsCollector(nil)
 	b.ReportAllocs()
@@ -272,6 +275,7 @@ func BenchmarkRunnerRSP(b *testing.B) {
 	}
 	b.ReportMetric(float64(augmentations)/float64(solves), "augs/solve")
 	b.ReportMetric(float64(pops)/float64(solves), "pops/solve")
+	b.ReportMetric(float64(incremental)/float64(solves), "incr/solve")
 }
 
 // hashHamming is a fixed switching-activity oracle: every unordered variable

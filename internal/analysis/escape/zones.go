@@ -39,14 +39,12 @@ func Zones() []Zone {
 			{Name: "Network.readFlow"},
 			{Name: "Scratch.installCosts"},
 			{Name: "Scratch.preparedFor"},
-			{Name: "Scratch.patchSupplies"},
 			{Name: "costsEqual"},
 			// The SSP engine under the warm path: pathfinding, potentials and
 			// the priority queue.
 			{Name: "ssp"},
 			{Name: "initPotentials"},
 			{Name: "dagRelax"},
-			{Name: "repairPotentials"},
 			{Name: "bellmanFord"},
 			{Name: "dijkstra"},
 			{Name: "payHeap.push"},

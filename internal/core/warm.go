@@ -102,13 +102,14 @@ func (pre *Prepared) CostView(co netbuild.CostOptions) (*CostView, error) {
 // model and decodes the result. Successive calls reuse the built topology
 // (Result.Stats.Solver reports WarmStart); a call that keeps or raises the
 // previous register count under the same cost model additionally keeps the
-// previous optimum and ships only the difference (Incremental). Every
-// answer equals a cold Allocate's, arc for arc. The first
-// Result after Prepare carries the one-off SplitTime/PinTime/BuildTime, and
-// its TotalTime includes Prepare's wall time; every later Result reports the
-// three as zero and times only its own solve and decode, so stage times
-// summed over results count the preparation exactly once and every Result's
-// TotalTime covers its stage sum.
+// previous optimum and ships only the difference, one augmentation per
+// extra register at every memory divisor (Incremental). Every answer equals
+// a cold Allocate's, arc for arc. The first Result after Prepare carries
+// the one-off SplitTime/PinTime/BuildTime, and its TotalTime includes
+// Prepare's wall time; every later Result reports the three as zero and
+// times only its own solve and decode, so stage times summed over results
+// count the preparation exactly once and every Result's TotalTime covers
+// its stage sum.
 //
 // The Result's Solution field aliases the Prepared's reusable solve buffer:
 // it is valid until the next Allocate/AllocateView on this Prepared. Callers

@@ -121,6 +121,57 @@ func TestPreparedAnswersEqualCold(t *testing.T) {
 	}
 }
 
+// TestPreparedRSPClimbIsOneAugmentation: on the radar kernel at memory
+// divisors 2 and 4, whose forced register residences put lower bounds on
+// the network, raising R from 13 to 14 under one static view continues the
+// held optimum with one incremental augmentation, and the answer is a cold
+// allocation's.
+func TestPreparedRSPClimbIsOneAugmentation(t *testing.T) {
+	set, _, err := workload.RSP(workload.DefaultRSP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := workload.Table1Registers
+	for _, div := range []int{2, 4} {
+		opts := core.Options{
+			Memory: lifetime.MemoryAccess{Period: div, Offset: div},
+			Style:  netbuild.DensityRegions,
+			Cost:   staticCO(),
+		}
+		pre, err := core.Prepare(set, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pre.Template().Build.Net.Stats().LowerBounded == 0 {
+			t.Fatalf("div=%d: no forced segment", div)
+		}
+		view, err := pre.CostView(staticCO())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pre.AllocateView(regs, view); err != nil {
+			t.Fatalf("div=%d R=%d: %v", div, regs, err)
+		}
+		warm, err := pre.AllocateView(regs+1, view)
+		if err != nil {
+			t.Fatalf("div=%d R=%d: %v", div, regs+1, err)
+		}
+		if st := warm.Stats.Solver; !st.Incremental || st.Augmentations != 1 {
+			t.Errorf("div=%d R=%d→%d: incremental=%t with %d augmentations, want one incremental augmentation",
+				div, regs, regs+1, st.Incremental, st.Augmentations)
+		}
+		coldOpts := opts
+		coldOpts.Registers = regs + 1
+		cold, err := core.Allocate(set, coldOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(warm.Solution.FlowByArc, cold.Solution.FlowByArc) {
+			t.Errorf("div=%d R=%d: climbed answer differs from cold", div, regs+1)
+		}
+	}
+}
+
 // TestPreparedMatchesCycleCancelling cross-checks the warm-started optimum
 // against the independent cold-start cycle-cancelling engine, solving the
 // template's own network under the same cost vector, on every cell of a
@@ -180,8 +231,8 @@ func TestPreparedWarmStartObserved(t *testing.T) {
 	if !res.Stats.Solver.PotentialsReused {
 		t.Error("second identical solve re-initialised potentials")
 	}
-	// Changing R only moves the super-arc capacities: the prepared topology
-	// is patched, not rebuilt, and the solve still counts as warm.
+	// Changing R changes only the value, not the network: the prepared
+	// topology is reused, and the solve still counts as warm.
 	res3, err := pre.Allocate(3, staticCO())
 	if err != nil {
 		t.Fatal(err)

@@ -9,10 +9,34 @@ func costScale(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, er
 	if required == 0 {
 		return 0, nil
 	}
-	shipped := dinic(r, s, t, required)
+	shipped := dinic(sc, s, t, required)
 	if shipped < required {
 		return shipped, nil // caller reports ErrInfeasible
 	}
+
+	// Saturating an Unbounded arc whole overflows its head's int64 excess.
+	// Some optimum differs from Dinic's flow on every arc by at most the
+	// residual's total finite capacity, so refinement runs with each
+	// residual capacity clamped to that total plus the required flow and
+	// hands the clamped remainder back at the end.
+	bound := required
+	for _, c := range r.capR {
+		if c < Unbounded/2 {
+			bound += c
+		}
+	}
+	held := make([]int64, len(r.capR))
+	for a, c := range r.capR {
+		if c > bound {
+			held[a] = c - bound
+			r.capR[a] = bound
+		}
+	}
+	defer func() {
+		for a, h := range held {
+			r.capR[a] += h
+		}
+	}()
 
 	// Work with costs scaled by n+1: a flow that is 1-optimal under the
 	// scaled costs is 1/(n+1)-optimal under the integer ones, which

@@ -7,7 +7,7 @@ package flow
 // as an independent implementation for cross-checking.
 func cycleCancel(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, error) {
 	r := &sc.r
-	shipped := dinic(r, s, t, required)
+	shipped := dinic(sc, s, t, required)
 	if shipped < required {
 		return shipped, nil // caller reports ErrInfeasible
 	}

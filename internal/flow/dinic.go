@@ -7,11 +7,12 @@ func (nw *Network) MaxFlow(s, t int) (int64, []int64, error) {
 	if s < 0 || s >= nw.n || t < 0 || t >= nw.n {
 		return 0, nil, ErrInfeasible
 	}
-	r := newResidual(nw.n, len(nw.from))
+	sc := NewScratch()
+	r := sc.resetResidual(nw.n, len(nw.from))
 	for i := range nw.from {
 		r.addPair(int(nw.from[i]), int(nw.to[i]), nw.capU[i], 0)
 	}
-	value := dinic(r, s, t, Unbounded)
+	value := dinic(sc, s, t, Unbounded)
 	flows := make([]int64, len(nw.from))
 	for i := range nw.from {
 		flows[i] = r.flowOn(2 * i)
@@ -19,13 +20,19 @@ func (nw *Network) MaxFlow(s, t int) (int64, []int64, error) {
 	return value, flows, nil
 }
 
-// dinic pushes up to `limit` units from s to t in the residual, returning the
-// amount pushed. iter holds each node's cursor into its CSR storage run.
-func dinic(r *residual, s, t int, limit int64) int64 {
+// dinic pushes up to `limit` units from s to t in the scratch's residual,
+// returning the amount pushed. It borrows the Dijkstra rounds' node buffers:
+// prevArc holds the BFS levels, the heap's nodeSeq each node's cursor into
+// its CSR storage run and its stack the BFS queue.
+func dinic(sc *Scratch, s, t int, limit int64) int64 {
+	r := &sc.r
 	r.ensureCSR()
-	level := make([]int32, r.n)
-	iter := make([]int32, r.n)
-	queue := make([]int32, 0, r.n)
+	sc.prevArc = grow32(sc.prevArc, r.n)
+	sc.heap.nodeSeq = grow32(sc.heap.nodeSeq, r.n)
+	if cap(sc.heap.stack) < r.n {
+		sc.heap.stack = make([]int32, 0, r.n)
+	}
+	level, iter, queue := sc.prevArc, sc.heap.nodeSeq, sc.heap.stack[:0]
 	var total int64
 	for total < limit {
 		// BFS levels.

@@ -18,7 +18,9 @@ type Engine interface {
 	Name() string
 	// run ships up to required units from s to t on the scratch's residual,
 	// recording work counters into st. It returns the amount shipped. It
-	// may move flow but never adds or removes residual arcs.
+	// may move flow but never adds or removes residual arcs. A solve calls
+	// it once per stage: from the super source to the super sink, then,
+	// with Scratch.valueStage set, from the value's s to its t.
 	run(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, error)
 }
 
@@ -72,9 +74,9 @@ type SolveStats struct {
 	// topology (same network, same scratch). Incremental reports the
 	// strongest reuse: the previous optimal flow stayed in the residual and
 	// only the value delta was augmented. PotentialsReused reports that the
-	// solve skipped potential initialisation, starting from the previous
-	// solve's potentials repaired around the widened super arcs; only the
-	// incremental path does that.
+	// solve skipped potential initialisation, starting from the potentials
+	// the held flow left; only the incremental path does that, so it equals
+	// Incremental.
 	WarmStart        bool `json:"warm_start"`
 	PotentialsReused bool `json:"potentials_reused"`
 	Incremental      bool `json:"incremental"`
@@ -116,52 +118,52 @@ type Scratch struct {
 	b       []int64 // node imbalances after lower-bound reduction
 	pi      []int64 // potentials
 	dist    []int64
-	prevArc []int32
-	heap    payHeap // also dagRelax's indegrees and topological queue
-	// Warm-start state: the prepared residual topology of the last network
-	// solved and the flag telling ssp the incremental path repaired the
-	// current potentials for reuse.
-	prep   prepared
-	warmPi bool
-	// seeds holds the super arcs repairPotentials starts from.
-	seeds []int32
-	// Incremental re-solve state: solved marks the residual as holding an
-	// optimal SSP flow of shipped units under the lastCosts vector, the
-	// starting point for augmenting only a value delta.
+	prevArc []int32 // also dinic's BFS levels
+	heap    payHeap // also dagRelax's and dinic's node buffers
+	// prep is the prepared residual topology of the last network solved.
+	prep prepared
+	// valueStage is set while an engine runs stage 2: ssp then keeps the
+	// potentials it finds and ships one unit per round.
+	valueStage bool
+	// Incremental re-solve state: solved marks that the residual and pi hold
+	// the SSP flow of value held under the lastCosts vector and its
+	// potentials, the starting point for augmenting only a value delta.
 	solved    bool
-	shipped   int64
+	held      int64
 	lastCosts []int64
 }
 
 // prepared snapshots the residual topology built for one network's supply
-// configuration, so later solves of that network can swap costs without
-// rebuilding. Replaced when the scratch prepares another network.
+// configuration and value endpoints, so later solves of that network can
+// swap costs and values without rebuilding. Replaced when the scratch
+// prepares another network.
 type prepared struct {
-	valid    bool
-	net      *Network // identity of the prepared network
-	n, m     int      // node/arc counts at prepare time (guards mutation)
-	s, t     int
-	required int64
-	initCap  []int64 // zero-flow residual capacities
-	supply   []int64 // supply snapshot at prepare time
-	excess   []int64 // per-node imbalance after the lower-bound reduction
-	superArc []int32 // forward super arc per node (-1 when excess was zero)
+	valid          bool
+	net            *Network // identity of the prepared network
+	n, m           int      // node/arc counts at prepare time (guards mutation)
+	s, t           int      // the value's endpoints
+	superS, superT int      // super source and sink
+	lo             int64    // smallest feasible value; -1 when none is
+	required       int64    // stage 1's units: the imbalance plus lo
+	initCap        []int64  // zero-flow residual capacities, value super arcs at lo
+	supply         []int64  // supply snapshot at prepare time
 }
 
 // NewScratch returns an empty scratch space.
 func NewScratch() *Scratch { return &Scratch{} }
 
 // NewScratchSized returns a scratch pre-sized for networks of up to nodes
-// nodes and arcs arcs (plus the solver's super source/sink and per-node super
-// arcs). All node- and arc-indexed buffers are carved out of two contiguous
-// arenas up front, so the first solve — not just re-solves — runs without
-// growing any buffer, and the hot arrays sit adjacent in memory.
+// nodes and arcs arcs (plus the solver's super source/sink, per-node super
+// arcs and the value's three arcs). All node- and arc-indexed buffers are
+// carved out of two contiguous arenas up front, so the first solve — not
+// just re-solves — runs without growing any buffer, and the hot arrays sit
+// adjacent in memory.
 func NewScratchSized(nodes, arcs int) *Scratch {
 	if nodes < 0 || arcs < 0 {
 		panic("flow: negative scratch size")
 	}
-	n := nodes + 2          // super source/sink
-	m := 2 * (arcs + nodes) // paired residual arcs incl. super arcs
+	n := nodes + 2              // super source/sink
+	m := 2 * (arcs + nodes + 3) // paired residual arcs incl. super and value arcs
 	a64 := make([]int64, 0, 3*n+3*m)
 	a32 := make([]int32, 0, 5*n+1+6*m)
 	carve64 := func(ln int) []int64 {

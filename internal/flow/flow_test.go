@@ -285,8 +285,45 @@ func TestSSPMatchesCycleCancelling(t *testing.T) {
 	}
 }
 
+// randomSupplyNetwork builds a random b-flow network of unit-capacity arcs
+// with negative costs, lower bounds and cycles: two to four supply nodes and
+// as many demand nodes, each supply node joined to each demand node by a
+// costly Unbounded bypass arc, so that the supplies themselves never make a
+// network infeasible.
+func randomSupplyNetwork(rng *rand.Rand) *Network {
+	n := 8 + rng.Intn(10)
+	nw := NewNetwork(n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if u == v || rng.Intn(2) != 0 {
+				continue
+			}
+			var lower int64
+			if rng.Intn(6) == 0 {
+				lower = int64(1 + rng.Intn(2))
+			}
+			nw.MustArc(u, v, lower, lower+1, int64(rng.Intn(31)-3))
+		}
+	}
+	k := 2 + rng.Intn(3)
+	perm := rng.Perm(n)
+	for i := 0; i < k; i++ {
+		src, dst := perm[i], perm[k+i]
+		b := int64(1 + rng.Intn(3))
+		nw.AddSupply(src, b)
+		nw.AddSupply(dst, -b)
+		for j := 0; j < k; j++ {
+			nw.MustArc(src, perm[k+j], 0, Unbounded, 20)
+		}
+	}
+	return nw
+}
+
 // TestSSPMatchesCostScaling cross-checks the third engine (cost-scaling
-// push-relabel) against SSP on random instances.
+// push-relabel) against SSP on random instances, then on a fixed corpus of
+// random supply networks, where several Unbounded bypass arcs meet at each
+// demand node. Networks SSP rejects for a negative cycle are skipped: they
+// have no optimum.
 func TestSSPMatchesCostScaling(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -306,6 +343,30 @@ func TestSSPMatchesCostScaling(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(23))
+	compared := 0
+	for i := 0; i < 3000; i++ {
+		nw := randomSupplyNetwork(rng)
+		a, _, errA := bflow(nw, SSP, nil, nil)
+		if errors.Is(errA, ErrNegativeCycle) {
+			continue
+		}
+		b, _, errB := bflow(nw, CostScaling, nil, nil)
+		if errA != nil || errB != nil {
+			if !errors.Is(errA, ErrInfeasible) || !errors.Is(errB, ErrInfeasible) {
+				t.Fatalf("network %d: ssp err %v, costscale err %v", i, errA, errB)
+			}
+			continue
+		}
+		if err := nw.CheckFeasible(b); err != nil {
+			t.Fatalf("network %d: costscale flow: %v", i, err)
+		}
+		if a.Cost != b.Cost {
+			t.Fatalf("network %d: costscale cost %d, ssp %d", i, b.Cost, a.Cost)
+		}
+		compared++
+	}
+	t.Logf("%d of 3000 supply networks feasible and compared", compared)
 }
 
 // TestCostScalingLowerBounds exercises the lower-bound reduction through the
@@ -396,17 +457,19 @@ func TestMonotoneCostInValue(t *testing.T) {
 }
 
 // bruteForceMinCost enumerates all integral flows on a tiny network by
-// recursing over arc flow values and returns the optimal cost for the given
-// supplies, or false when infeasible.
+// recursing over arc flow values, each arc from its lower bound to its
+// capacity, and returns the optimal cost for the given supplies, or false
+// when infeasible.
 func bruteForceMinCost(nw *Network, supplies []int64) (int64, bool) {
 	m := nw.M()
 	flows := make([]int64, m)
+	net := make([]int64, nw.N())
 	best := int64(1) << 62
 	found := false
 	var rec func(i int)
 	rec = func(i int) {
 		if i == m {
-			net := make([]int64, nw.N())
+			clear(net)
 			var cost int64
 			for j := 0; j < m; j++ {
 				from, to, _, _, c := nw.Arc(ArcID(j))
@@ -426,9 +489,6 @@ func bruteForceMinCost(nw *Network, supplies []int64) (int64, bool) {
 			return
 		}
 		_, _, lo, hi, _ := nw.Arc(ArcID(i))
-		if hi > 3 {
-			hi = 3 // keep enumeration tractable; tests use small capacities
-		}
 		for f := lo; f <= hi; f++ {
 			flows[i] = f
 			rec(i + 1)

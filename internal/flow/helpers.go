@@ -34,16 +34,16 @@ func (nw *Network) CheckFeasible(sol *Solution) error {
 }
 
 // FeasibleFlow computes any flow satisfying the network's lower bounds and
-// supplies, ignoring costs: Dinic on the residual that prepare reduces the
-// network to, the cheap feasibility probe beside MinCostFlowValue's optimum.
-// It returns ErrInfeasible when no such flow exists.
+// supplies, ignoring costs: the feasible flow prepare's Dinic pass leaves on
+// the residual it reduces the network to, the cheap feasibility probe beside
+// MinCostFlowValue's optimum. It returns ErrInfeasible when no such flow
+// exists.
 func (nw *Network) FeasibleFlow() (*Solution, error) {
 	sc := NewScratch()
-	if err := sc.prepare(nw); err != nil {
+	if err := sc.prepare(nw, 0, 0); err != nil {
 		return nil, err
 	}
-	p := &sc.prep
-	if dinic(&sc.r, p.s, p.t, p.required) < p.required {
+	if sc.prep.lo < 0 {
 		return nil, ErrInfeasible
 	}
 	sol := &Solution{FlowByArc: make([]int64, len(nw.from))}

@@ -4,14 +4,15 @@
 //   - a Network builder with arc lower bounds, capacities, integer costs and
 //     node imbalances (b-flows);
 //   - one solve path, MinCostFlowValueWithCostsInto, with MinCostFlowValue
-//     as its allocating form: the lower-bound reduction and super
-//     source/sink are built once per network on a Scratch, and a retained
-//     Scratch turns re-solves under new costs or flow values into warm,
-//     allocation-free ones. A warm re-solve that grows the value under
-//     unchanged costs keeps the previous optimum and augments only the
-//     delta, after repairing the potentials from the widened super arcs;
-//     every other re-solve starts from fresh potentials, so it returns the
-//     cold solve's flow;
+//     as its allocating form: the lower-bound reduction, super source/sink
+//     and smallest feasible value are built once per network on a Scratch,
+//     and a retained Scratch turns re-solves under new costs or flow values
+//     into warm, allocation-free ones. A solve ships the lower-bound units
+//     and the smallest feasible value first, then the rest of the value one
+//     shortest s→t path per unit, so a warm re-solve that grows the value
+//     under unchanged costs only runs the extra units' rounds on the held
+//     optimum; every other re-solve starts from fresh potentials. Either
+//     way it returns the cold solve's flow;
 //   - successive shortest paths with node potentials as the engine behind
 //     that path, the one every caller above this package runs; cycle
 //     cancelling and cost-scaling push-relabel, both starting from Dinic's
@@ -206,20 +207,6 @@ type residual struct {
 	tmp32  []int32
 	tmp64  []int64
 	dirty  bool
-}
-
-func newResidual(n, arcHint int) *residual {
-	w := 2 * arcHint
-	return &residual{
-		n:     n,
-		tail:  make([]int32, 0, w),
-		to:    make([]int32, 0, w),
-		capR:  make([]int64, 0, w),
-		cost:  make([]int64, 0, w),
-		rev:   make([]int32, 0, w),
-		pos:   make([]int32, 0, w),
-		dirty: true,
-	}
 }
 
 // addNode extends the residual with a fresh node.

@@ -5,19 +5,26 @@ const infCost = int64(1) << 60
 // ssp runs successive shortest paths from s to t until `required` units are
 // shipped or t becomes unreachable. Returns the amount shipped.
 //
+// A solve calls it once per stage. Stage 1, from the super source, starts
+// from fresh potentials and ships each path's bottleneck. Stage 2, from
+// the value's s (Scratch.valueStage), keeps the potentials the flow in the
+// residual left and ships one unit per round. An optimal flow plus one unit
+// on a shortest s→t path is optimal for one more unit, and stage 2 never
+// touches a super arc, since stage 1 saturated every one. So the state after
+// k stage-2 rounds does not depend on the value asked for: a solve for a
+// larger value under the same costs continues a held solve's rounds and
+// reaches the cold solve's flow.
+//
 //lea:noalloc
 func ssp(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, error) {
 	r := &sc.r
 	r.ensureCSR()
 	var pi []int64
-	if sc.warmPi {
-		// solveWithCosts repaired the previous solve's potentials on the
-		// flow it kept; skip initialisation.
+	if sc.valueStage {
 		pi = sc.pi[:r.n]
-		st.PotentialsReused = true
 	} else {
 		var err error
-		pi, err = initPotentials(r, s, sc)
+		pi, err = initPotentials(r, sc)
 		if err != nil {
 			return 0, err
 		}
@@ -41,8 +48,11 @@ func ssp(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, error) {
 			pi[v] += min(dist[v], dt)
 		}
 		// Bottleneck along the s->t path (prevArc forms a tree, so the walk
-		// terminates at s).
+		// terminates at s); stage 2 ships one unit.
 		bottleneck := required - shipped
+		if sc.valueStage {
+			bottleneck = 1
+		}
 		for v := t; v != s; {
 			a := prevArc[v]
 			if r.capR[a] < bottleneck {
@@ -62,26 +72,30 @@ func ssp(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, error) {
 	return shipped, nil
 }
 
-// initPotentials computes initial node potentials (shortest distances from s
-// over arcs with residual capacity, tolerating negative costs) into the
-// scratch's potential buffer. The initial residual of a DAG-shaped network is
-// acyclic, so a single relaxation pass in topological order suffices —
-// O(V+E). Bellman-Ford remains as the fallback for non-DAG inputs.
+// initPotentials computes initial node potentials (shortest distances from
+// the super source and from the value's s, both at 0, over arcs with
+// residual capacity, tolerating negative costs) into the scratch's potential
+// buffer. Rooting at s as well gives every node stage 2 can reach a finite
+// potential even when stage 1 opens no path to s. The initial residual of a
+// DAG-shaped network is acyclic, so a single relaxation pass in topological
+// order suffices — O(V+E). Bellman-Ford remains as the fallback for non-DAG
+// inputs.
 //
 //lea:noalloc
-func initPotentials(r *residual, s int, sc *Scratch) ([]int64, error) {
+func initPotentials(r *residual, sc *Scratch) ([]int64, error) {
 	sc.pi = grow64(sc.pi, r.n) //lea:allocs potential growth on first solve of a larger network
 	dist := sc.pi
+	p := &sc.prep
 	for v := range dist {
 		dist[v] = infCost
 	}
-	dist[s] = 0
+	dist[p.superS], dist[p.s] = 0, 0
 	if dagRelax(r, sc, dist) {
 		return dist, nil
 	}
 	// Cycle among capacitated arcs: re-run the general algorithm (it resets
 	// dist itself).
-	return bellmanFord(r, s, dist)
+	return bellmanFord(r, p.superS, p.s, dist)
 }
 
 // dagRelax attempts one topological-order relaxation pass over the arcs with
@@ -140,109 +154,19 @@ func dagRelax(r *residual, sc *Scratch, dist []int64) bool {
 	return processed == r.n
 }
 
-// repairPotentials restores the non-negative reduced-cost invariant after
-// patchSupplies widened super arcs under the optimal flow the residual still
-// holds, or reports that no potentials exist. Before the widening every
-// capacitated arc had non-negative reduced cost under pi. Widening only
-// gives capacity back to saturated super arcs, so the arcs that can now
-// break the invariant are among the capacitated arcs out of the super source
-// s or into the super sink t: the seeds.
-//
-// Each phase lowers the head of every violated seed and propagates the
-// decreases Dijkstra-style over the arcs that were non-negative at the
-// phase's start; a decrease never grows along such an arc, so each node
-// settles once. Afterwards only seeds can be violated. A simple path leaves
-// s at most once and enters t at most once, so it crosses at most two
-// seeds: without a negative cycle, two phases reach the fixpoint, the
-// largest potentials below pi that satisfy every arc. A seed still violated
-// after them proves a negative cycle: the held flow is not optimal for its
-// value in the widened network, and the caller must fall back to a full
-// re-solve, which re-initialises the half-updated pi.
+// bellmanFord computes shortest distances from roots s1 and s2 over arcs with
+// residual capacity, tolerating negative costs, into dist. A negative cycle
+// in the initial residual means the network prices a free lunch (a
+// cost-reducing cycle within capacity bounds); it is reported as
+// ErrNegativeCycle rather than a panic so malformed inputs surface as
+// ordinary errors.
 //
 //lea:noalloc
-func repairPotentials(sc *Scratch, s, t int) bool {
-	r := &sc.r
-	pi := sc.pi[:r.n]
-	seeds := sc.seeds[:0]
-	for a := r.start[s]; a < r.start[s+1]; a++ {
-		if r.capR[a] > 0 {
-			seeds = append(seeds, a)
-		}
-	}
-	for b := r.start[t]; b < r.start[t+1]; b++ {
-		if a := r.rev[b]; r.capR[a] > 0 {
-			seeds = append(seeds, a)
-		}
-	}
-	sc.seeds = seeds
-	// drop[v] is the phase's change to pi[v] (never positive); arc weights
-	// are reduced costs under the phase's starting pi.
-	sc.dist = grow64(sc.dist, r.n) //lea:allocs scratch growth on first solve of a larger network
-	drop := sc.dist
-	h := &sc.heap
-	for phase := 0; ; phase++ {
-		for v := range drop {
-			drop[v] = 0
-		}
-		h.a = h.a[:0]
-		seq := int32(0)
-		for _, a := range seeds {
-			u, v := r.tail[a], r.to[a]
-			if pi[u] >= infCost {
-				continue
-			}
-			if d := pi[u] + r.cost[a] - pi[v]; d < drop[v] {
-				drop[v] = d
-				seq++
-				h.push(heapItem{d, seq, v})
-			}
-		}
-		if h.len() == 0 {
-			return true
-		}
-		if phase == 2 {
-			return false
-		}
-		for h.len() > 0 {
-			it := h.pop()
-			u := int(it.node)
-			if it.dist > drop[u] {
-				continue // stale entry
-			}
-			for a := int(r.start[u]); a < int(r.start[u+1]); a++ {
-				if r.capR[a] <= 0 {
-					continue
-				}
-				v := r.to[a]
-				rc := r.cost[a] + pi[u] - pi[v]
-				if rc < 0 {
-					continue // a violated seed: the next phase lowers its head
-				}
-				if d := it.dist + rc; d < drop[v] {
-					drop[v] = d
-					seq++
-					h.push(heapItem{d, seq, v})
-				}
-			}
-		}
-		for v, d := range drop {
-			pi[v] += d
-		}
-	}
-}
-
-// bellmanFord computes shortest distances from s over arcs with residual
-// capacity, tolerating negative costs, into dist. A negative cycle in the
-// initial residual means the network prices a free lunch (a cost-reducing
-// cycle within capacity bounds); it is reported as ErrNegativeCycle rather
-// than a panic so malformed inputs surface as ordinary errors.
-//
-//lea:noalloc
-func bellmanFord(r *residual, s int, dist []int64) ([]int64, error) {
+func bellmanFord(r *residual, s1, s2 int, dist []int64) ([]int64, error) {
 	for v := range dist {
 		dist[v] = infCost
 	}
-	dist[s] = 0
+	dist[s1], dist[s2] = 0, 0
 	for round := 0; ; round++ {
 		changed := false
 		for u := range dist {
@@ -314,10 +238,10 @@ func dijkstra(r *residual, s, t int, pi, dist []int64, prevArc []int32, h *payHe
 			}
 			v := int(r.to[a])
 			if pi[v] >= infCost {
-				// Node was unreachable from s when initPotentials ran, and
-				// it still is: augmentations add reverse arcs only between
-				// nodes on the path, and a widened super arc's head was
-				// reachable then. Its potential is meaningless; skip it.
+				// Node was unreachable from both roots when initPotentials
+				// ran, and it still is: augmentations add reverse arcs only
+				// between nodes on the path. Its potential is meaningless;
+				// skip it.
 				continue
 			}
 			if d := r.cost[a] + pi[u] - pi[v]; d < dist[v] {
@@ -385,7 +309,7 @@ func (x heapItem) less(y heapItem) bool {
 // payHeap is a binary min-heap of (dist, seq, node) with lazy deletion,
 // plus the node buffers of a Dijkstra round's distance-0 stage: stack, the
 // frontier, and nodeSeq, the sequence number of each node's latest positive
-// label. dagRelax borrows both before the first round.
+// label. dagRelax and dinic borrow both outside the rounds.
 type payHeap struct {
 	a       []heapItem
 	stack   []int32

@@ -8,9 +8,8 @@ import (
 // MinCostFlowValue computes a minimum-cost flow of exactly value units from
 // s to t on top of any supplies and lower bounds already present — value 0
 // solves the plain b-flow of the supplies — with the SSP engine, the
-// network's own arc costs and fresh solver storage. The network's supplies
-// are restored before returning. It is the allocating form of
-// MinCostFlowValueWithCostsInto.
+// network's own arc costs and fresh solver storage. It is the allocating
+// form of MinCostFlowValueWithCostsInto.
 func (nw *Network) MinCostFlowValue(s, t int, value int64) (*Solution, error) {
 	sol := &Solution{}
 	if err := nw.MinCostFlowValueWithCostsInto(nil, nil, nil, s, t, value, sol, &SolveStats{}); err != nil {
@@ -22,29 +21,32 @@ func (nw *Network) MinCostFlowValue(s, t int, value int64) (*Solution, error) {
 // MinCostFlowValueWithCostsInto is the package's one solve path. It computes
 // a minimum-cost feasible flow of exactly value units from s to t on top of
 // any supplies and lower bounds already present (value 0: the plain b-flow
-// of the supplies) and writes the flows and the solve's work statistics into
-// caller-owned sol and st. The network's supplies are restored before
-// returning; on error st still describes the attempted solve.
+// of the supplies; s == t: the value ships nothing) and writes the flows
+// and the solve's work statistics into caller-owned sol and st. On error st
+// still describes the attempted solve.
 //
 // A nil engine selects SSP. A nil cost vector solves under the costs
 // recorded at AddArc time; otherwise costs holds one entry per arc, in ArcID
 // order. A nil scratch allocates fresh storage: a cold solve.
 //
-// A retained scratch makes re-solves warm. The first solve of a network on
-// a scratch prepares its residual topology (lower-bound reduction, super
-// source/sink, CSR index); later solves of the same network reuse it, only
-// swapping the cost vector and resetting capacities — O(V+E) instead of a
-// rebuild (SolveStats.WarmStart). A changed value patches the two super-arc
-// capacities in the snapshot and stays warm; only a sign flip in a node's
-// imbalance, or a solve of another network on the scratch, forces a
-// re-prepare. An SSP re-solve under unchanged costs that keeps or grows the
-// value augments only the delta on the retained optimal flow, starting from
-// the previous solve's potentials repaired around the widened super arcs
-// (SolveStats.Incremental and PotentialsReused); when the widening breaks
-// that flow's optimality it falls back to a full re-solve. Every full
-// re-solve initialises its potentials afresh, as a cold solve does, so it
-// returns the cold solve's flow arc for arc. sol's flow slice is reused,
-// grown only when too small, so a warm re-solve performs zero heap
+// The value stays apart from the supplies. Preparing a network on a scratch
+// builds its residual topology once (lower-bound reduction, super
+// source/sink, CSR index) together with lo, the smallest feasible value. A
+// solve then runs in two stages: stage 1 ships the lower-bound and supply
+// units plus lo value units from the super source to the super sink, and
+// stage 2 ships the remaining value − lo units from s to t, one unit per
+// SSP round. A value below lo is ErrInfeasible before any round.
+//
+// A retained scratch makes re-solves of the same network and endpoints
+// warm: they reuse the prepared topology, only swapping the cost vector
+// and resetting capacities (SolveStats.WarmStart). An SSP re-solve under
+// unchanged costs that keeps or grows the value runs only the extra stage-2
+// rounds on the held flow and potentials (SolveStats.Incremental): the
+// state cold reaches after the held value's rounds, so the answer is the
+// cold one by construction. Every other re-solve starts from the zero flow
+// and fresh potentials, as a cold solve does, and returns the cold solve's
+// flow arc for arc; a changed supply re-prepares. sol's flow slice is
+// reused, grown only when too small, so a warm re-solve performs zero heap
 // allocations.
 //
 //lea:noalloc
@@ -65,84 +67,68 @@ func (nw *Network) MinCostFlowValueWithCostsInto(e Engine, costs []int64, sc *Sc
 	if sc == nil {
 		sc = NewScratch() //lea:allocs nil-scratch fallback; warm callers pass a reused Scratch
 	}
-	nw.supply[s] += value
-	nw.supply[t] -= value
-	defer func() {
-		nw.supply[s] -= value
-		nw.supply[t] += value
-	}()
 	start := time.Now()
-	err := nw.solveWithCosts(e, costs, sc, sol, st)
+	err := nw.solveWithCosts(e, costs, sc, s, t, value, sol, st)
 	st.Duration = time.Since(start)
 	return err
 }
 
 //lea:noalloc
-func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, sol *Solution, st *SolveStats) error {
+func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, s, t int, value int64, sol *Solution, st *SolveStats) error {
 	if len(costs) != len(nw.from) {
 		return fmt.Errorf("flow: cost vector has %d entries for %d arcs", len(costs), len(nw.from)) //lea:allocs error path: size-mismatch formatting only
 	}
-	incremental := false
-	if sc.preparedFor(nw) {
+	if sc.preparedFor(nw, s, t) {
 		st.WarmStart = true
-		// Unchanged supplies re-solved under unchanged costs keep the
-		// retained optimal flow outright — the delta-zero case of the
-		// incremental sensitivity argument below, and the hot case of a
-		// serving workload repeating identical requests. The engine then
-		// ships nothing and the solution is re-extracted from the residual.
-		incremental = sc.solved && e == SSP && costsEqual(sc.lastCosts, costs)
-	} else if ok, grew := sc.patchSupplies(nw); ok {
-		st.WarmStart = true
-		// An optimal flow for a smaller value plus shortest-path
-		// augmentations of the delta is optimal for the larger value — the
-		// SSP sensitivity argument. It applies only when the previous flow
-		// is still present and optimal under the SAME costs and every
-		// supply change widened a super arc (shrinking would require
-		// removing flow). repairPotentials below re-certifies optimality.
-		incremental = grew && sc.solved && e == SSP && costsEqual(sc.lastCosts, costs)
-	} else if err := sc.prepare(nw); err != nil {
+	} else if err := sc.prepare(nw, s, t); err != nil {
 		return err
 	}
+	p := &sc.prep
+	if p.lo < 0 || value < p.lo {
+		return ErrInfeasible // no round ran: a held flow stays held
+	}
+	// The held flow is cold's state after its value's stage-2 rounds under
+	// these costs, so more rounds on it reach cold's state for any larger
+	// value, and zero rounds keep it: the hot case of a serving workload
+	// repeating identical requests.
+	incremental := sc.solved && e == SSP && value >= sc.held && costsEqual(sc.lastCosts, costs)
 	sc.solved = false
-
 	r := &sc.r
-	var base int64 // units already shipped by the flow kept in the residual
+	base := sc.held
 	if incremental {
-		// Keep the residual's flow; the widened super arcs may have exposed
-		// negative reduced costs, so repair the potentials in place. A
-		// repair failure means the widening exposed a negative cycle — fall
-		// back to a plain warm re-solve.
-		if len(sc.pi) >= r.n && repairPotentials(sc, sc.prep.s, sc.prep.t) {
-			base = sc.shipped
-			sc.warmPi = true
-			st.Incremental = true
-		} else {
-			incremental = false
+		st.Incremental = true
+		st.PotentialsReused = true
+	} else {
+		// A full re-solve, warm or cold, resets the zero-flow capacities from
+		// prepare's storage-ordered snapshot and runs stage 1 from fresh
+		// potentials, exactly the cold solve's rounds. No engine adds or
+		// removes arcs, so prepare's CSR index still holds.
+		copy(r.capR, p.initCap)
+		sc.installCosts(costs)
+		pushed, err := e.run(sc, p.superS, p.superT, p.required, st)
+		if err != nil {
+			return err
+		}
+		if pushed < p.required {
+			return ErrInfeasible
+		}
+		base = p.lo
+	}
+	if value > base {
+		sc.valueStage = true
+		pushed, err := e.run(sc, s, t, value-base, st)
+		sc.valueStage = false
+		if err != nil {
+			return err
+		}
+		if base+pushed < value {
+			return ErrInfeasible
 		}
 	}
-	if !incremental {
-		// A full re-solve, warm or cold, resets the zero-flow capacities from
-		// prepare's storage-ordered snapshot and starts from initPotentials,
-		// so it runs exactly the cold solve's rounds and returns its flow. No
-		// engine adds or removes arcs, so prepare's CSR index still holds.
-		copy(r.capR, sc.prep.initCap)
-		sc.installCosts(costs)
-	}
-	pushed, err := e.run(sc, sc.prep.s, sc.prep.t, sc.prep.required-base, st)
-	sc.warmPi = false
-	if err != nil {
-		return err
-	}
-	if base+pushed < sc.prep.required {
-		return ErrInfeasible
-	}
-	// The residual now holds an optimal flow for these costs and supplies:
-	// the starting point for a future incremental re-solve. Engines other
-	// than SSP don't maintain the potential invariant the incremental path
-	// needs, so only SSP records it.
+	// Only SSP keeps the potentials the next incremental solve starts from.
 	if e == SSP {
 		sc.solved = true
-		sc.shipped = sc.prep.required
+		sc.held = value
 		sc.lastCosts = append(sc.lastCosts[:0], costs...)
 	}
 
@@ -179,12 +165,13 @@ func (sc *Scratch) installCosts(costs []int64) {
 }
 
 // preparedFor reports whether the scratch holds a prepared residual topology
-// matching the network's current shape and supplies.
+// matching the network's current shape and supplies and the value's
+// endpoints.
 //
 //lea:noalloc
-func (sc *Scratch) preparedFor(nw *Network) bool {
+func (sc *Scratch) preparedFor(nw *Network, s, t int) bool {
 	p := &sc.prep
-	if !p.valid || p.net != nw || p.n != nw.n || p.m != len(nw.from) {
+	if !p.valid || p.net != nw || p.n != nw.n || p.m != len(nw.from) || p.s != s || p.t != t {
 		return false
 	}
 	for v, b := range nw.supply {
@@ -196,12 +183,19 @@ func (sc *Scratch) preparedFor(nw *Network) bool {
 }
 
 // prepare builds the residual topology for the network's current supplies
-// (costs zeroed; each solve installs its own) and snapshots the zero-flow
-// capacities so re-solves can reset in one copy. It is the package's one
-// lower-bound reduction: arc lower bounds shift into node imbalances, which
-// super source/sink arcs then absorb. The lower bounds' constant cost needs
-// no accumulator, because readFlow prices each arc's full flow.
-func (sc *Scratch) prepare(nw *Network) error {
+// and the value's endpoints s and t (costs zeroed; each solve installs its
+// own) and snapshots the zero-flow capacities so re-solves can reset in one
+// copy. It is the package's one lower-bound reduction: arc lower bounds
+// shift into node imbalances, which super source/sink arcs then absorb. The
+// lower bounds' constant cost needs no accumulator, because readFlow prices
+// each arc's full flow. The value gets super arcs of its own, into s and out
+// of t, which stage 1 holds at lo, and a t→s arc that only lowestValue
+// opens. When lo exists, prepare leaves a feasible flow of value lo in the
+// residual. The value's arcs come first among the super arcs, so stage 1's
+// distance-0 stack pops s, the widest fan-out, after the imbalance nodes:
+// on the radar kernel at memory divisors 2 and 4 that saves up to a quarter
+// of a full solve's Dijkstra pops.
+func (sc *Scratch) prepare(nw *Network, s, t int) error {
 	var total int64
 	for _, b := range nw.supply {
 		total += b
@@ -212,7 +206,7 @@ func (sc *Scratch) prepare(nw *Network) error {
 	sc.b = grow64(sc.b, nw.n)
 	b := sc.b
 	copy(b, nw.supply)
-	r := sc.resetResidual(nw.n, len(nw.from)+nw.n)
+	r := sc.resetResidual(nw.n, len(nw.from)+nw.n+3)
 	for i := range nw.from {
 		if nw.lower[i] > 0 {
 			b[nw.from[i]] -= nw.lower[i]
@@ -220,100 +214,66 @@ func (sc *Scratch) prepare(nw *Network) error {
 		}
 		r.addPair(int(nw.from[i]), int(nw.to[i]), nw.capU[i]-nw.lower[i], 0)
 	}
-	s := r.addNode()
-	t := r.addNode()
-	p := &sc.prep
-	p.superArc = grow32(p.superArc, nw.n)
+	superS := r.addNode()
+	superT := r.addNode()
+	valueIn := r.addPair(superS, s, 0, 0)
+	valueOut := r.addPair(t, superT, 0, 0)
+	closing := r.addPair(t, s, 0, 0)
 	var required int64
 	for v := 0; v < nw.n; v++ {
 		switch {
 		case b[v] > 0:
-			p.superArc[v] = int32(r.addPair(s, v, b[v], 0))
+			r.addPair(superS, v, b[v], 0)
 			required += b[v]
 		case b[v] < 0:
-			p.superArc[v] = int32(r.addPair(v, t, -b[v], 0))
-		default:
-			p.superArc[v] = -1
+			r.addPair(v, superT, -b[v], 0)
 		}
 	}
 	r.ensureCSR()
+	p := &sc.prep
 	p.net = nw
 	p.n = nw.n
 	p.m = len(nw.from)
-	p.s, p.t, p.required = s, t, required
+	p.s, p.t = s, t
+	p.superS, p.superT = superS, superT
 	p.initCap = append(p.initCap[:0], r.capR...)
 	p.supply = append(p.supply[:0], nw.supply...)
-	p.excess = append(p.excess[:0], b[:nw.n]...)
+	// Without imbalances the zero flow is feasible at value 0.
+	p.lo = 0
+	if required > 0 {
+		p.lo = sc.lowestValue(required, r.pos[closing], r.pos[closing^1])
+	}
+	if p.lo > 0 {
+		p.initCap[r.pos[valueIn]] = p.lo
+		p.initCap[r.pos[valueOut]] = p.lo
+		required += p.lo
+	}
+	p.required = required
 	p.valid = true // after resetResidual, which clears it
 	return nil
 }
 
-// patchSupplies updates the prepared snapshot in place when the network
-// differs from it only in supplies, and each changed node keeps the sign of
-// its imbalance — then the topology is unchanged and only the capacity of
-// that node's super arc (and the required flow) moves. Register-count
-// re-solves hit exactly this case: the value shipped s→t changes, the
-// network doesn't. Returns ok=false (snapshot untouched) when a node's
-// imbalance appears, disappears into a new arc, or flips sign, falling back
-// to a full prepare; grew additionally reports that every change widened
-// its super arc (|imbalance| non-decreasing everywhere), the precondition
-// for the incremental re-solve. Live residual capacities are bumped
-// alongside the snapshot so the incremental path can keep its flow; the
-// non-incremental path overwrites them from the snapshot anyway.
-//
-//lea:noalloc
-func (sc *Scratch) patchSupplies(nw *Network) (ok, grew bool) {
-	p := &sc.prep
-	if !p.valid || p.net != nw || p.n != nw.n || p.m != len(nw.from) {
-		return false, false
+// lowestValue returns the smallest value the prepared network can ship from
+// s to t, or -1 when none is feasible, by one min-flow computation on the
+// zero-flow residual. With the t→s arc at positions fwd and bwd opened
+// wide, Dinic ships the required imbalance units from the super source to
+// the super sink: a feasible flow whose value, the t→s arc's flow, is left
+// free. With that arc closed again, Dinic from t to s hands back every unit
+// of value some t→s path can carry. That pass cannot cross a super arc: the
+// first saturated every imbalance arc, and the value's own are still
+// closed.
+func (sc *Scratch) lowestValue(required int64, fwd, bwd int32) int64 {
+	r, p := &sc.r, &sc.prep
+	r.capR[fwd] = Unbounded
+	if dinic(sc, p.superS, p.superT, required) < required {
+		return -1
 	}
-	// Verify first: a failed patch must leave the snapshot consistent.
-	var deltaSum int64
-	for v, bNew := range nw.supply {
-		d := bNew - p.supply[v]
-		if d == 0 {
-			continue
-		}
-		deltaSum += d
-		old := p.excess[v]
-		next := old + d
-		if old == 0 || (old > 0 && next < 0) || (old < 0 && next > 0) {
-			return false, false
-		}
+	f := r.capR[bwd]
+	r.capR[fwd], r.capR[bwd] = 0, 0
+	if f > 0 {
+		f -= dinic(sc, p.t, p.s, f)
 	}
-	if deltaSum != 0 {
-		return false, false // supplies no longer balance; let prepare report it
-	}
-	grew = true
-	r := &sc.r
-	for v, bNew := range nw.supply {
-		d := bNew - p.supply[v]
-		if d == 0 {
-			continue
-		}
-		old := p.excess[v]
-		next := old + d
-		a := int(p.superArc[v])
-		var oldCap, newCap int64
-		if old > 0 {
-			oldCap, newCap = old, next
-			p.required += next - old
-		} else {
-			oldCap, newCap = -old, -next
-		}
-		if newCap < oldCap {
-			grew = false
-		}
-		// initCap is a storage-ordered snapshot (taken after prepare's
-		// ensureCSR), so the raw super-arc index maps through pos.
-		fwd, bwd := r.pos[a], r.pos[a^1]
-		p.initCap[fwd] = newCap
-		p.initCap[bwd] = 0
-		r.capR[fwd] += newCap - oldCap
-		p.supply[v] = bNew
-		p.excess[v] = next
-	}
-	return true, grew
+	return f
 }
 
 // costsEqual reports element-wise equality of two cost vectors.

@@ -18,11 +18,27 @@ func arcCosts(nw *Network) []int64 {
 	return costs
 }
 
+// negativeReducedCost returns a capacitated residual arc whose reduced cost
+// under the scratch's potentials is negative, or -1 when there is none: the
+// invariant every SSP round, early-stopped or not, must leave behind. Arcs
+// out of nodes no solve ever reached (infinite potential) carry no
+// constraint.
+func negativeReducedCost(sc *Scratch) int {
+	r := &sc.r
+	pi := sc.pi[:r.n]
+	for a := range r.to {
+		if r.capR[a] > 0 && pi[r.tail[a]] < infCost && r.cost[a]+pi[r.tail[a]]-pi[r.to[a]] < 0 {
+			return a
+		}
+	}
+	return -1
+}
+
 // TestSolveWithCostsMatchesCold: with the identity cost vector a retained
 // scratch must agree with a fresh-scratch solve under the network's own
 // costs — same objective, feasible flows — and the second solve on the same
 // scratch, unchanged in costs and supplies, must keep the first one's flow:
-// an incremental solve of a zero delta on the repaired potentials.
+// an incremental solve of a zero delta on the held potentials.
 func TestSolveWithCostsMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sc := NewScratch()
@@ -175,8 +191,9 @@ func TestEnginesKeepResidualTopology(t *testing.T) {
 	}
 }
 
-// TestSolveWithCostsValueChange: changing the shipped value re-prepares the
-// topology (supplies differ) and still solves correctly at each value.
+// TestSolveWithCostsValueChange: changing the shipped value keeps the
+// prepared topology (the value is not a supply) and still solves correctly
+// at each value.
 func TestSolveWithCostsValueChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	nw, s, tt, _ := randomInstance(rng)
@@ -263,9 +280,87 @@ func TestIncrementalValueSweep(t *testing.T) {
 	}
 }
 
-// TestPatchSuppliesFallback: a supply change that creates an imbalance on a
-// node that had none (no super arc in the prepared topology) cannot be
-// patched; the solver must transparently re-prepare and stay correct.
+// randomLowerBoundInstance is randomInstance with lower bounds: a random DAG
+// between s and t whose arcs each carry a lower bound of 1 with probability
+// 1/4, plus the Unbounded s→t bypass, so the smallest feasible value is
+// often positive and every larger one stays feasible.
+func randomLowerBoundInstance(rng *rand.Rand) (*Network, int, int) {
+	n := 3 + rng.Intn(7)
+	nw := NewNetwork(n + 2)
+	s, t := n, n+1
+	arc := func(u, v int) {
+		var lower int64
+		if rng.Intn(4) == 0 {
+			lower = 1
+		}
+		nw.MustArc(u, v, lower, lower+int64(1+rng.Intn(3)), int64(rng.Intn(11)-5))
+	}
+	for u := 0; u < n; u++ {
+		arc(s, u)
+		arc(u, t)
+		for v := u + 1; v < n; v++ {
+			if rng.Intn(3) == 0 {
+				arc(u, v)
+			}
+		}
+	}
+	nw.MustArc(s, t, 0, Unbounded, 0)
+	return nw, s, t
+}
+
+// TestValueClimbIsOneRoundPerUnit pins the staged solve on networks with
+// lower bounds, where the lower-bound units take super arcs: on one retained
+// scratch under fixed costs, the value climbs from the first feasible one.
+// Every later step must continue the held flow with exactly one augmentation
+// and return a fresh-scratch solve's flow, arc for arc.
+func TestValueClimbIsOneRoundPerUnit(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	staged := 0
+	for i := 0; i < 300; i++ {
+		nw, s, tt := randomLowerBoundInstance(rng)
+		costs := arcCosts(nw)
+		sc := NewScratch()
+		lo := int64(0)
+		for ; lo <= 8; lo++ {
+			if _, _, err := solveValue(nw, SSP, costs, sc, s, tt, lo); err == nil {
+				break
+			} else if !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("instance %d value %d: %v", i, lo, err)
+			}
+		}
+		if lo > 8 {
+			continue // lower bounds no value satisfies
+		}
+		if lo > 0 {
+			staged++
+		}
+		for value := lo + 1; value <= lo+6; value++ {
+			warm, st, err := solveValue(nw, SSP, costs, sc, s, tt, value)
+			if err != nil {
+				t.Fatalf("instance %d value %d: %v", i, value, err)
+			}
+			if !st.Incremental || st.Augmentations != 1 {
+				t.Fatalf("instance %d value %d (lowest %d): incremental=%t with %d augmentations, want one incremental round",
+					i, value, lo, st.Incremental, st.Augmentations)
+			}
+			cold, _, err := solveValue(nw, SSP, costs, nil, s, tt, value)
+			if err != nil {
+				t.Fatalf("instance %d value %d: cold: %v", i, value, err)
+			}
+			if !slices.Equal(warm.FlowByArc, cold.FlowByArc) {
+				t.Fatalf("instance %d value %d: climbed flow %v, cold %v", i, value, warm.FlowByArc, cold.FlowByArc)
+			}
+		}
+	}
+	if staged == 0 {
+		t.Fatal("no instance had a positive lowest value")
+	}
+	t.Logf("%d of 300 instances had a positive lowest value", staged)
+}
+
+// TestPatchSuppliesFallback: a supply change re-prepares the topology,
+// whether it creates an imbalance on a node that had none or shrinks one
+// back to zero, and the solver stays correct across both.
 func TestPatchSuppliesFallback(t *testing.T) {
 	nw := NewNetwork(4)
 	nw.AddArc(0, 1, 0, 5, 2)
@@ -283,8 +378,8 @@ func TestPatchSuppliesFallback(t *testing.T) {
 	if first.Cost != 3*(2+1+1) {
 		t.Fatalf("first solve cost %d, want 12", first.Cost)
 	}
-	// Node 1 had zero imbalance: making it a source has no super arc to
-	// widen, so this must re-prepare, not patch.
+	// Node 1 had zero imbalance: making it a source changes the supplies,
+	// so this must re-prepare.
 	nw.AddSupply(1, 2)
 	nw.AddSupply(3, -2)
 	second, st, err := bflow(nw, SSP, costs, sc)
@@ -297,16 +392,12 @@ func TestPatchSuppliesFallback(t *testing.T) {
 	if want := first.Cost + 2*(1+1); second.Cost != want {
 		t.Fatalf("second solve cost %d, want %d", second.Cost, want)
 	}
-	// Back to the original supplies: shrinking node 1's imbalance to zero IS
-	// patchable (cap 0 on its existing super arc).
+	// Back to the original supplies: another re-prepare.
 	nw.AddSupply(1, -2)
 	nw.AddSupply(3, 2)
-	third, st, err := bflow(nw, SSP, costs, sc)
+	third, _, err := bflow(nw, SSP, costs, sc)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !st.WarmStart {
-		t.Error("imbalance shrinking to zero fell back to a cold prepare")
 	}
 	if third.Cost != first.Cost {
 		t.Fatalf("third solve cost %d, want %d", third.Cost, first.Cost)

@@ -207,29 +207,48 @@ func BenchmarkSolvers(b *testing.B) {
 // workload grid with and without the warm-started template path (S35). The
 // cold variant rebuilds the network for every cell; the warm variant builds
 // each divisor column's topology once and re-solves with swapped cost
-// vectors on a retained flow.Scratch.
+// vectors on a retained flow.Scratch. warm_par solves the columns on 4
+// workers, and rerun repeats the sweep on one persistent sweep.Runner, whose
+// columns stay prepared between runs.
 func BenchmarkSweepWarmStart(b *testing.B) {
 	set := workload.Figure1()
-	opt := sweep.Options{
+	grid := sweep.Options{
 		Registers: []int{0, 1, 2, 3, 4, 5, 6},
 		Divisors:  []int{1, 2, 4, 8},
 		H:         energy.ConstHamming(0.5),
 	}
-	for _, tc := range []struct {
-		name string
-		cold bool
-	}{{"cold", true}, {"warm", false}} {
-		opt := opt
-		opt.ColdStart = tc.cold
-		b.Run(tc.name, func(b *testing.B) {
+	sweepRun := func(opt sweep.Options) func(b *testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := sweep.Run(set, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
+		}
 	}
+	cold, par := grid, grid
+	cold.ColdStart = true
+	par.Workers = 4
+	b.Run("cold", sweepRun(cold))
+	b.Run("warm", sweepRun(grid))
+	b.Run("warm_par", sweepRun(par))
+	b.Run("rerun", func(b *testing.B) {
+		rn, err := sweep.NewRunner(set, grid)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rn.Run(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := rn.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkRunnerRSP is the solver-bound sweep over the radar kernel as a
@@ -298,7 +317,10 @@ func hashHamming(v1, v2 string) float64 {
 
 // BenchmarkWarmResolve isolates the solver-level warm start: the same
 // network re-solved with a fresh Scratch every time (cold) vs on a retained
-// Scratch that reuses topology and potentials (warm).
+// Scratch that reuses topology and potentials (warm). recost alternates two
+// cost vectors on a retained Scratch, so every re-solve runs full Dijkstra
+// rounds on the heap: unchanged costs would continue the held flow and
+// never enter the queue.
 func BenchmarkWarmResolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	set := workload.MustRandom(rng, workload.RandomParams{
@@ -334,6 +356,26 @@ func BenchmarkWarmResolve(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			solve(b, sc)
+		}
+	})
+	costs := [2][]int64{make([]int64, build.Net.M()), make([]int64, build.Net.M())}
+	for a := range costs[0] {
+		_, _, _, _, c := build.Net.Arc(flow.ArcID(a))
+		costs[0][a], costs[1][a] = c, 2*c
+	}
+	b.Run("recost", func(b *testing.B) {
+		sc := flow.NewScratch()
+		recost := func(i int) {
+			if err := build.Net.MinCostFlowValueWithCostsInto(flow.SSP, costs[i%2], sc, build.S, build.T, value, &sol, &st); err != nil {
+				b.Fatal(err)
+			}
+		}
+		recost(0)
+		recost(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			recost(i)
 		}
 	})
 }

@@ -8,7 +8,9 @@
 //	leabench -all
 //	leabench -exp fig3
 //	leabench -exp table1 -md
-//	leabench -json BENCH_sweep.json
+//
+// leabench regenerates results, not timings: the perf gate, cmd/leaperf,
+// measures allocations and end-to-end speed against a base revision.
 package main
 
 import (
@@ -96,33 +98,14 @@ func main() {
 		list      = flag.Bool("list", false, "list experiments")
 		stats     = flag.Bool("stats", false, "print an aggregate of every allocation's stage timings and solver work")
 		parallel  = flag.Int("parallel", 1, "run up to this many experiments concurrently (output order is unchanged)")
-		benchJSON = flag.String("json", "", "measure the sweep/solver benchmarks and write a perf snapshot to this path (e.g. BENCH_sweep.json)")
-		gate      = flag.Bool("gate", false, "re-measure the benchmarks and fail when a row allocates more than in -gate-baseline")
-		gateBase  = flag.String("gate-baseline", "BENCH_sweep.json", "committed perf snapshot whose allocs/op are the gate's ceilings")
 	)
 	flag.Parse()
-	if *gate {
-		if err := runBenchGate(os.Stdout, *gateBase); err != nil {
-			fmt.Fprintln(os.Stderr, "leabench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	exps := experiments(*registers)
 	if *list {
 		for _, e := range exps {
 			fmt.Printf("%-14s %s\n", e.name, e.desc)
 		}
 		return
-	}
-	if *benchJSON != "" {
-		if err := runBenchJSON(os.Stdout, *benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "leabench:", err)
-			os.Exit(1)
-		}
-		if !*all && *exp == "" {
-			return
-		}
 	}
 	if !*all && *exp == "" {
 		fmt.Fprintln(os.Stderr, "leabench: pass -all, -exp <name> or -list")

@@ -336,8 +336,8 @@ func printBlock(w io.Writer, task, name string, res *lowenergy.Result, verbose, 
 }
 
 // blockJSON is the machine-readable per-block summary. Stats reuses the
-// canonical core.RunStats JSON schema (shared with leabench -json and the
-// leaserved /v1/allocate response) instead of an ad-hoc field set.
+// canonical core.RunStats JSON schema (shared with the leaserved
+// /v1/allocate response) instead of an ad-hoc field set.
 type blockJSON struct {
 	Task            string              `json:"task"`
 	Block           string              `json:"block"`

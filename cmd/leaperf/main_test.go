@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -95,7 +98,8 @@ func gateOn(t *testing.T, workload string, worse float64) (*benchmarkSpec, strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = gate(&buf, spec, runs, "HEAD^1")
+	allocs := allocCounts{"BenchmarkSweepWarmStart/warm": 1377}
+	err = gate(&buf, spec, [2]allocCounts{allocs, allocs}, runs, "HEAD^1")
 	return spec, buf.String(), err
 }
 
@@ -122,6 +126,136 @@ func TestRegressPassesInBandNoise(t *testing.T) {
 	if !strings.Contains(out, "leaperf: perf gate passed against HEAD^1") ||
 		strings.Contains(out, "REGRESSED") || strings.Contains(out, "unresolved") {
 		t.Errorf("want every verdict ok and the gate passed:\n%s", out)
+	}
+	if a, b := strings.Index(out, "allocs/op"), strings.Index(out, "workload"); a < 0 || b < a {
+		t.Errorf("want the allocation table before the timing table:\n%s", out)
+	}
+}
+
+// capturedBench is go test -benchmem output of the allocation stage's set on
+// two vCPUs, abridged to a few rows. Two of RunnerRSP's three counts are
+// raised from 1168 to check that a row keeps its minimum, and recost's line
+// lacks the -2 suffix, as go test prints it at GOMAXPROCS 1.
+const capturedBench = `goos: linux
+goarch: amd64
+pkg: repro
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkSolvers/cyclecancel-2         	      13	 132289965 ns/op	  409552 B/op	     115 allocs/op
+BenchmarkSweepWarmStart/cold-2         	     852	   1309096 ns/op	  672288 B/op	    5732 allocs/op
+BenchmarkSweepWarmStart/warm_par-2     	    4527	    289125 ns/op	  139270 B/op	    1389 allocs/op
+BenchmarkRunnerRSP-2                   	      42	  29300825 ns/op	        48.00 augs/solve	         0.5000 incr/solve	      7234 pops/solve	  238528 B/op	    1168 allocs/op
+BenchmarkRunnerRSP-2                   	      50	  29292644 ns/op	        48.00 augs/solve	         0.5000 incr/solve	      7234 pops/solve	  238528 B/op	    1170 allocs/op
+BenchmarkRunnerRSP-2                   	      46	  27171330 ns/op	        48.00 augs/solve	         0.5000 incr/solve	      7234 pops/solve	  238528 B/op	    1169 allocs/op
+BenchmarkWarmResolve/warm-2            	  107067	     13406 ns/op	       0 B/op	       0 allocs/op
+BenchmarkWarmResolve/recost            	    1476	    693029 ns/op	       0 B/op	       0 allocs/op
+PASS
+ok  	repro	51.334s
+`
+
+func TestParseAllocs(t *testing.T) {
+	got, err := parseAllocs([]byte(capturedBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := allocCounts{
+		"BenchmarkSolvers/cyclecancel":     115,
+		"BenchmarkSweepWarmStart/cold":     5732,
+		"BenchmarkSweepWarmStart/warm_par": 1389,
+		"BenchmarkRunnerRSP":               1168,
+		"BenchmarkWarmResolve/warm":        0,
+		"BenchmarkWarmResolve/recost":      0,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("parseAllocs = %v, want %v", got, want)
+	}
+	if _, err := parseAllocs([]byte("PASS\nok  \trepro\t0.01s\n")); err == nil {
+		t.Error("output without a result line parsed, want an error")
+	}
+}
+
+// benchLines renders one go test -benchmem result line per count, at ns
+// ns/op.
+func benchLines(name string, ns float64, allocs ...int64) string {
+	var b strings.Builder
+	for _, a := range allocs {
+		fmt.Fprintf(&b, "%s-2 \t 1000\t %.0f ns/op\t 4096 B/op\t %d allocs/op\n", name, ns, a)
+	}
+	return b.String()
+}
+
+// fakeBench returns a benchTest that prints out[0] in tree "B" and out[1]
+// in any other tree.
+func fakeBench(out [2]string) benchTest {
+	return func(_ context.Context, tree string) ([]byte, error) {
+		if tree == "B" {
+			return []byte(out[base]), nil
+		}
+		return []byte(out[change]), nil
+	}
+}
+
+func TestJudgeAllocs(t *testing.T) {
+	baseOut := benchLines("BenchmarkWarm", 100, 0, 0, 0) + benchLines("BenchmarkCold", 1000, 50, 50, 50)
+	cases := []struct {
+		name     string
+		change   string
+		wantFail []string // rows that fail, in name order
+		wantOut  string
+	}{
+		{"at the base counts", baseOut, nil, "ok"},
+		{"zero-alloc row now allocates",
+			benchLines("BenchmarkWarm", 100, 1, 1, 1) + benchLines("BenchmarkCold", 1000, 50, 50, 50),
+			[]string{"BenchmarkWarm allocates more: 0 -> 1"}, "REGRESSED"},
+		{"above the base count",
+			benchLines("BenchmarkWarm", 100, 0, 0, 0) + benchLines("BenchmarkCold", 1000, 51, 52, 51),
+			[]string{"BenchmarkCold allocates more: 50 -> 51"}, "REGRESSED"},
+		{"one noisy run above",
+			benchLines("BenchmarkWarm", 100, 0, 0, 0) + benchLines("BenchmarkCold", 1000, 57, 50, 50), nil, "ok"},
+		{"NEW row", baseOut + benchLines("BenchmarkExtra", 5, 9, 9, 9), nil, "NEW"},
+		{"10x slower", benchLines("BenchmarkWarm", 1000, 0, 0, 0) + benchLines("BenchmarkCold", 10000, 50, 50, 50), nil, "ok"},
+		{"GONE row", benchLines("BenchmarkWarm", 100, 0, 0, 0),
+			[]string{"BenchmarkCold: 50 allocs/op on the base, no such row on the change"}, "GONE"},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		counts, err := measureAllocs(context.Background(), &buf, [2]string{"B", "C"}, fakeBench([2]string{baseOut, c.change}))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		failures := reportAllocs(&buf, counts)
+		if len(failures) != len(c.wantFail) {
+			t.Errorf("%s: failures %q, want %q", c.name, failures, c.wantFail)
+			continue
+		}
+		for i, want := range c.wantFail {
+			if !strings.Contains(failures[i], want) {
+				t.Errorf("%s: failure %q does not contain %q", c.name, failures[i], want)
+			}
+		}
+		if !strings.Contains(buf.String(), c.wantOut) {
+			t.Errorf("%s: table lacks %q:\n%s", c.name, c.wantOut, buf.String())
+		}
+	}
+}
+
+func TestMeasureAllocsFailsOnEitherSide(t *testing.T) {
+	ok := benchLines("BenchmarkWarm", 100, 0)
+	for _, failing := range []string{"B", "C"} {
+		bench := func(_ context.Context, tree string) ([]byte, error) {
+			if tree == failing {
+				return nil, errors.New("exit status 1")
+			}
+			return []byte(ok), nil
+		}
+		_, err := measureAllocs(context.Background(), &bytes.Buffer{}, [2]string{"B", "C"}, bench)
+		if err == nil {
+			t.Errorf("go test failed in %s, want an error", failing)
+		}
+	}
+	// A run that printed no result line is no pass either.
+	_, err := measureAllocs(context.Background(), &bytes.Buffer{}, [2]string{"B", "C"}, fakeBench([2]string{ok, "FAIL\trepro [build failed]\n"}))
+	if err == nil || !strings.Contains(err.Error(), "change") {
+		t.Errorf("change printed no result line: err %v, want an error naming the change", err)
 	}
 }
 

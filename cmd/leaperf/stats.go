@@ -1,6 +1,8 @@
-// Package stats holds the statistics of the repository's perf gate,
-// cmd/leaperf: quantiles over repeated benchmark runs and the verdict that
-// judges one metric's runs on a change against its runs on the parent.
+package main
+
+// The statistics of the timing stage: quantiles over repeated benchmark runs
+// and the verdict that judges one metric's runs on a change against its runs
+// on the parent.
 //
 // The verdict is the no-regression rule PR review applies to a paired
 // benchmark A/B. A metric regresses when the change's median is worse than
@@ -9,7 +11,6 @@
 // relative to their median, is wider than the bound, the metric is
 // unresolved, unless every run of the change reads better than every run of
 // the parent.
-package stats
 
 import "sort"
 

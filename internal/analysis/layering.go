@@ -41,11 +41,6 @@ var layerRank = map[string]int{
 	"internal/viz":             7,
 	"internal/sweep":           7,
 	"internal/simulate":        7,
-	// Perf provenance and the perf gate's statistics: the statistics are a
-	// leaf and the provenance stamp sits above them. Neither may touch the
-	// serve stack it helps to measure.
-	"internal/perfobs/stats": 0,
-	"internal/perfobs":       1,
 	// The serving stack: the pure request engine sits below the shard router
 	// and the HTTP transport; shard and transport share a rank, so neither
 	// can import the other — both compose only downward through the engine.

@@ -15,9 +15,8 @@ import (
 // pipeline is Split → Pin → Build → Solve → Decode; each stage's wall time
 // is recorded, plus the sizes that drive them and the solver's own work
 // counters. The JSON tags are the one canonical machine-readable schema,
-// shared by leaflow -json, the run_stats of leabench -json and the stats of
-// every block a leaserved /v1/allocate response returns; durations
-// serialise as nanoseconds.
+// shared by leaflow -json and the stats of every block a leaserved
+// /v1/allocate response returns; durations serialise as nanoseconds.
 type RunStats struct {
 	// Per-stage wall times.
 	SplitTime  time.Duration `json:"split_ns"`

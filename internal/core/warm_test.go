@@ -228,8 +228,8 @@ func TestPreparedWarmStartObserved(t *testing.T) {
 	if !res.Stats.Solver.WarmStart {
 		t.Error("second identical solve did not warm-start")
 	}
-	if !res.Stats.Solver.PotentialsReused {
-		t.Error("second identical solve re-initialised potentials")
+	if !res.Stats.Solver.Incremental {
+		t.Error("second identical solve did not continue the held flow")
 	}
 	// Changing R changes only the value, not the network: the prepared
 	// topology is reused, and the solve still counts as warm.

@@ -73,13 +73,10 @@ type SolveStats struct {
 	// WarmStart reports that the solve reused a previously prepared residual
 	// topology (same network, same scratch). Incremental reports the
 	// strongest reuse: the previous optimal flow stayed in the residual and
-	// only the value delta was augmented. PotentialsReused reports that the
-	// solve skipped potential initialisation, starting from the potentials
-	// the held flow left; only the incremental path does that, so it equals
-	// Incremental.
-	WarmStart        bool `json:"warm_start"`
-	PotentialsReused bool `json:"potentials_reused"`
-	Incremental      bool `json:"incremental"`
+	// only the value delta was augmented, from the potentials the held flow
+	// left.
+	WarmStart   bool `json:"warm_start"`
+	Incremental bool `json:"incremental"`
 	// Duration is the wall time of the solve, residual construction included.
 	Duration time.Duration `json:"duration_ns"`
 }
@@ -98,7 +95,7 @@ func (st SolveStats) String() string {
 		fmt.Fprintf(&b, " pushes=%d relabels=%d", st.Pushes, st.Relabels)
 	}
 	if st.WarmStart {
-		fmt.Fprintf(&b, " warm=true potentials-reused=%t", st.PotentialsReused)
+		b.WriteString(" warm=true")
 	}
 	if st.Incremental {
 		b.WriteString(" incremental=true")

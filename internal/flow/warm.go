@@ -97,7 +97,6 @@ func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, s, t int
 	base := sc.held
 	if incremental {
 		st.Incremental = true
-		st.PotentialsReused = true
 	} else {
 		// A full re-solve, warm or cold, resets the zero-flow capacities from
 		// prepare's storage-ordered snapshot and runs stage 1 from fresh

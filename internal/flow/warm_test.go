@@ -65,9 +65,9 @@ func TestSolveWithCostsMatchesCold(t *testing.T) {
 			if err := nw.CheckFeasible(warm); err != nil {
 				t.Fatalf("instance %d round %d: %v", i, round, err)
 			}
-			if round == 1 && !(st.WarmStart && st.Incremental && st.PotentialsReused) {
-				t.Fatalf("instance %d: repeated solve warm=%t incremental=%t potentials-reused=%t, want all three",
-					i, st.WarmStart, st.Incremental, st.PotentialsReused)
+			if round == 1 && !(st.WarmStart && st.Incremental) {
+				t.Fatalf("instance %d: repeated solve warm=%t incremental=%t, want both",
+					i, st.WarmStart, st.Incremental)
 			}
 		}
 	}
@@ -108,9 +108,9 @@ func TestWarmStartPropertyAllEngines(t *testing.T) {
 			}
 			continue
 		}
-		if !wst.WarmStart || wst.Incremental || wst.PotentialsReused {
-			t.Fatalf("instance %d: restore solve warm=%t incremental=%t potentials-reused=%t, want a full warm re-solve",
-				i, wst.WarmStart, wst.Incremental, wst.PotentialsReused)
+		if !wst.WarmStart || wst.Incremental {
+			t.Fatalf("instance %d: restore solve warm=%t incremental=%t, want a full warm re-solve",
+				i, wst.WarmStart, wst.Incremental)
 		}
 		if warm.Cost != cold.Cost || warm.Cost != cc.Cost {
 			t.Fatalf("instance %d: costs disagree: warm %d, cold %d, cyclecancel %d",

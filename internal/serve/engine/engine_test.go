@@ -354,7 +354,7 @@ func TestSpellingsShareTemplate(t *testing.T) {
 	}
 }
 
-// blockingHook returns a testHookPreSolve that signals entry and then parks
+// blockingHook returns a Config.PreSolve hook that signals entry and then parks
 // until released, pinning a worker mid-request.
 func blockingHook(entered chan<- struct{}, release <-chan struct{}) func(*Request) {
 	return func(*Request) {
@@ -364,10 +364,9 @@ func blockingHook(entered chan<- struct{}, release <-chan struct{}) func(*Reques
 }
 
 func TestOverloadReturnsTypedError(t *testing.T) {
-	e := New(Config{Workers: 1, QueueDepth: 1})
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	e.testHookPreSolve = blockingHook(entered, release)
+	e := New(Config{Workers: 1, QueueDepth: 1, PreSolve: blockingHook(entered, release)})
 	ctx := context.Background()
 	req := &Request{Program: testPrograms[0], Options: RequestOptions{Registers: 3}}
 
@@ -408,10 +407,9 @@ func TestOverloadReturnsTypedError(t *testing.T) {
 // count it too, so neither request of the pair reads under the hold.
 func TestQueueWaitCounted(t *testing.T) {
 	const hold = 20 * time.Millisecond
-	e := New(Config{Workers: 1, QueueDepth: 4})
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
-	e.testHookPreSolve = blockingHook(entered, release)
+	e := New(Config{Workers: 1, QueueDepth: 4, PreSolve: blockingHook(entered, release)})
 	ctx := context.Background()
 	req := &Request{Program: testPrograms[0], Options: RequestOptions{Registers: 3}}
 
@@ -448,10 +446,9 @@ func TestQueueWaitCounted(t *testing.T) {
 }
 
 func TestCloseDrainsAndRejects(t *testing.T) {
-	e := New(Config{Workers: 1, QueueDepth: 4})
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	e.testHookPreSolve = blockingHook(entered, release)
+	e := New(Config{Workers: 1, QueueDepth: 4, PreSolve: blockingHook(entered, release)})
 	ctx := context.Background()
 	req := &Request{Program: testPrograms[1], Options: RequestOptions{Registers: 3}}
 
@@ -478,17 +475,15 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 }
 
 func TestPanicRecovery(t *testing.T) {
-	e := New(Config{Workers: 2, QueueDepth: 8})
-	ctx := context.Background()
-	defer e.Close(ctx)
-	req := &Request{Program: testPrograms[2], Options: RequestOptions{Registers: 3}}
-
 	var tripped atomic.Bool
-	e.testHookPreSolve = func(*Request) {
+	e := New(Config{Workers: 2, QueueDepth: 8, PreSolve: func(*Request) {
 		if tripped.CompareAndSwap(false, true) {
 			panic("injected failure")
 		}
-	}
+	}})
+	ctx := context.Background()
+	defer e.Close(ctx)
+	req := &Request{Program: testPrograms[2], Options: RequestOptions{Registers: 3}}
 
 	var ie *InternalError
 	if _, err := e.Allocate(ctx, req); !errors.As(err, &ie) {
@@ -505,9 +500,9 @@ func TestPanicRecovery(t *testing.T) {
 }
 
 func TestRequestTimeout(t *testing.T) {
-	e := New(Config{Workers: 1, QueueDepth: 4, RequestTimeout: 20 * time.Millisecond})
 	release := make(chan struct{})
-	e.testHookPreSolve = func(*Request) { <-release }
+	e := New(Config{Workers: 1, QueueDepth: 4, RequestTimeout: 20 * time.Millisecond,
+		PreSolve: func(*Request) { <-release }})
 	req := &Request{Program: testPrograms[0], Options: RequestOptions{Registers: 3}}
 
 	_, err := e.Allocate(context.Background(), req)

@@ -158,11 +158,6 @@ type Engine struct {
 	queueWait   *Histogram
 	solveLat    *Histogram
 	stageTotals map[string]*Counter
-
-	// testHookPreSolve, when set, runs inside the worker just before a
-	// block's solve — the test seam for panic-recovery and queue-pressure
-	// tests.
-	testHookPreSolve func(*Request)
 }
 
 // New starts an engine with cfg's worker pool running.
@@ -198,7 +193,6 @@ func New(cfg Config) *Engine {
 			"decode": m.Counter("stage_decode_ns_total"),
 		},
 	}
-	e.testHookPreSolve = cfg.PreSolve
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -393,8 +387,8 @@ func (e *Engine) allocateBlock(taskName string, block *ir.Block, req *Request, o
 		entry.pre = pre
 	}
 
-	if e.testHookPreSolve != nil {
-		e.testHookPreSolve(req)
+	if e.cfg.PreSolve != nil {
+		e.cfg.PreSolve(req)
 	}
 	res, err := entry.pre.Allocate(req.Options.Registers, co)
 	if err != nil {
@@ -471,7 +465,8 @@ type Snapshot struct {
 	CacheEvictions int64 `json:"cache_evictions"`
 	CacheEntries   int64 `json:"cache_entries"`
 	// Solver-reuse tier counts: cold (full pipeline), warm (prepared
-	// residual reused), incremental (previous optimum patched in place).
+	// residual reused), incremental (the held optimal flow continued with
+	// more rounds, or with none when R is unchanged).
 	SolvesCold        int64 `json:"solves_cold"`
 	SolvesWarm        int64 `json:"solves_warm"`
 	SolvesIncremental int64 `json:"solves_incremental"`

@@ -47,6 +47,10 @@ func Zones() []Zone {
 			{Name: "dagRelax"},
 			{Name: "bellmanFord"},
 			{Name: "dijkstra"},
+			// The live-arc set those rounds walk.
+			{Name: "fillLive"},
+			{Name: "residual.syncLive"},
+			{Name: "residual.liveWord"},
 			{Name: "payHeap.push"},
 			{Name: "payHeap.pop"},
 			{Name: "payHeap.heapify"},

@@ -141,3 +141,86 @@ func TestDijkstraMatchesHeapOnly(t *testing.T) {
 	}
 	t.Logf("%d rounds stopped at a sink at distance 0, %d beyond it", atZero, beyond)
 }
+
+// liveMismatch returns a storage position whose live bit disagrees with its
+// residual capacity, or -1 when the live set is exactly the positions with
+// capacity left: one word per 64 positions and no bit set past the last.
+func liveMismatch(r *residual) int {
+	if len(r.live) != (len(r.capR)+63)/64 {
+		return len(r.capR)
+	}
+	for p := range 64 * len(r.live) {
+		set := r.live[p>>6]>>(p&63)&1 == 1
+		if set != (p < len(r.capR) && r.capR[p] > 0) {
+			return p
+		}
+	}
+	return -1
+}
+
+// TestLiveSetTracksCapacity runs one retained scratch through a corpus of
+// networks with lower bounds, supplies and an Unbounded s→t bypass. On each
+// network it solves cold at the smallest feasible value, climbs the value
+// incrementally, re-solves under new costs, solves with cost scaling and
+// then with SSP again. After every SSP solve the live set must hold exactly
+// the positions with residual capacity. Cost scaling leaves the set stale,
+// so the SSP solve after it checks the restore a full re-solve makes; it
+// must return the flow of the SSP re-solve before it.
+func TestLiveSetTracksCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	sc := NewScratch()
+	stale := 0
+	for i := 0; i < 200; i++ {
+		nw, s, tt := randomLowerBoundInstance(rng)
+		b := int64(1 + rng.Intn(3))
+		nw.AddSupply(s, b)
+		nw.AddSupply(tt, -b)
+		probe := NewScratch()
+		if err := probe.prepare(nw, s, tt); err != nil {
+			t.Fatalf("network %d: %v", i, err)
+		}
+		lo := probe.prep.lo
+		if lo < 0 {
+			continue // lower bounds no value satisfies
+		}
+		costs := arcCosts(nw)
+		recosts := make([]int64, len(costs))
+		for a, c := range costs {
+			recosts[a] = c + int64(rng.Intn(5)-2)
+		}
+		check := func(step string, e Engine, cv []int64, value int64, incremental bool) *Solution {
+			t.Helper()
+			sol, st, err := solveValue(nw, e, cv, sc, s, tt, value)
+			if err != nil {
+				t.Fatalf("network %d, %s: %v", i, step, err)
+			}
+			if st.Incremental != incremental {
+				t.Fatalf("network %d, %s: incremental=%t, want %t", i, step, st.Incremental, incremental)
+			}
+			if p := liveMismatch(&sc.r); e == SSP && p >= 0 {
+				t.Fatalf("network %d, %s: live bit of position %d disagrees with its capacity", i, step, p)
+			}
+			return sol
+		}
+		check("cold", SSP, costs, lo, false)
+		for v := lo + 1; v <= lo+3; v++ {
+			check("climb", SSP, costs, v, true)
+		}
+		recost := check("recost", SSP, recosts, lo+3, false)
+		scaled := check("cost scaling", CostScaling, recosts, lo+3, false)
+		if scaled.Cost != recost.Cost {
+			t.Fatalf("network %d: cost scaling cost %d, SSP %d", i, scaled.Cost, recost.Cost)
+		}
+		if liveMismatch(&sc.r) >= 0 {
+			stale++
+		}
+		again := check("ssp after cost scaling", SSP, recosts, lo+3, false)
+		if !slices.Equal(again.FlowByArc, recost.FlowByArc) {
+			t.Fatalf("network %d: SSP after cost scaling %v, before %v", i, again.FlowByArc, recost.FlowByArc)
+		}
+	}
+	if stale == 0 {
+		t.Fatal("cost scaling never left the live set stale, so no restore was checked")
+	}
+	t.Logf("cost scaling left the live set stale on %d networks", stale)
+}

@@ -143,6 +143,7 @@ type prepared struct {
 	lo             int64    // smallest feasible value; -1 when none is
 	required       int64    // stage 1's units: the imbalance plus lo
 	initCap        []int64  // zero-flow residual capacities, value super arcs at lo
+	initLive       []uint64 // the live-arc set of initCap
 	supply         []int64  // supply snapshot at prepare time
 }
 
@@ -151,18 +152,21 @@ func NewScratch() *Scratch { return &Scratch{} }
 
 // NewScratchSized returns a scratch pre-sized for networks of up to nodes
 // nodes and arcs arcs (plus the solver's super source/sink, per-node super
-// arcs and the value's three arcs). All node- and arc-indexed buffers are
-// carved out of two contiguous arenas up front, so the first solve — not
-// just re-solves — runs without growing any buffer, and the hot arrays sit
-// adjacent in memory.
+// arcs and the value's three arcs). The node- and arc-indexed buffers are
+// carved out of two contiguous arenas up front, and the live-arc sets and
+// the heap get their largest sizes, so the first solve — not just re-solves
+// — runs without growing any buffer, and the hot arrays sit adjacent in
+// memory.
 func NewScratchSized(nodes, arcs int) *Scratch {
 	if nodes < 0 || arcs < 0 {
 		panic("flow: negative scratch size")
 	}
 	n := nodes + 2              // super source/sink
 	m := 2 * (arcs + nodes + 3) // paired residual arcs incl. super and value arcs
-	a64 := make([]int64, 0, 3*n+3*m)
+	words := (m + 63) / 64
+	a64 := make([]int64, 0, 3*n+4*m+nodes+arcs)
 	a32 := make([]int32, 0, 5*n+1+6*m)
+	live := make([]uint64, 2*words)
 	carve64 := func(ln int) []int64 {
 		s := a64[len(a64) : len(a64)+ln : len(a64)+ln]
 		a64 = a64[:len(a64)+ln]
@@ -181,6 +185,7 @@ func NewScratchSized(nodes, arcs int) *Scratch {
 		cost:   carve64(m),
 		rev:    carve32(m),
 		pos:    carve32(m),
+		live:   live[:words:words],
 		perm:   carve32(m),
 		tmp32:  carve32(m),
 		tmp64:  carve64(m),
@@ -188,10 +193,15 @@ func NewScratchSized(nodes, arcs int) *Scratch {
 		cursor: carve32(n),
 		dirty:  true,
 	}
+	sc.prep.initCap = carve64(m)
+	sc.prep.initLive = live[words:]
+	sc.prep.supply = carve64(nodes)
+	sc.lastCosts = carve64(arcs)
 	sc.b = carve64(n)
 	sc.pi = carve64(n)
 	sc.dist = carve64(n)
 	sc.prevArc = carve32(n)
+	sc.heap.a = make([]heapItem, 0, heapBound(n, m))
 	sc.heap.nodeSeq = carve32(n)
 	sc.heap.stack = carve32(n)
 	return sc
@@ -209,12 +219,16 @@ func (sc *Scratch) resetResidual(n, arcHint int) *residual {
 	r.dirty = true
 	want := 2 * arcHint
 	if cap(r.to) < want {
-		r.tail = make([]int32, 0, want)
-		r.to = make([]int32, 0, want)
-		r.capR = make([]int64, 0, want)
-		r.cost = make([]int64, 0, want)
-		r.pos = make([]int32, 0, want)
-		r.rev = make([]int32, 0, want)
+		// One arena per element width, as in NewScratchSized: a cold
+		// prepare makes two allocations here, not six.
+		a32 := make([]int32, 4*want)
+		a64 := make([]int64, 2*want)
+		r.tail = a32[:0:want]
+		r.to = a32[want : want : 2*want]
+		r.pos = a32[2*want : 2*want : 3*want]
+		r.rev = a32[3*want : 3*want]
+		r.capR = a64[:0:want]
+		r.cost = a64[want:want]
 	} else {
 		r.tail = r.tail[:0]
 		r.to = r.to[:0]
@@ -233,6 +247,23 @@ func grow64(buf []int64, n int) []int64 {
 	}
 	return buf[:n]
 }
+
+// growU64 returns buf resized to n, reusing capacity. Contents are undefined.
+func growU64(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	return buf[:n]
+}
+
+// heapBound is the most entries a Dijkstra round's heap can hold on a
+// residual of n nodes and m storage positions: one per node from the
+// distance-0 stage, plus one push per arc pair. A push needs its head not
+// yet expanded, so of an arc and its reverse only the arc leaving the end
+// expanded first can push. Rounds stay far below it (at most 982 entries
+// against about 11,300 on the radar kernel), so only NewScratchSized,
+// whose first solve must grow nothing, reserves it.
+func heapBound(n, m int) int { return n + m/2 }
 
 // grow32 returns buf resized to n, reusing capacity. Contents are undefined.
 func grow32(buf []int32, n int) []int32 {

@@ -191,14 +191,25 @@ func (s *Solution) Flow(id ArcID) int64 { return s.FlowByArc[id] }
 // positions (for cost installs, flow extraction and super-arc patching) and
 // rev links each storage position to its paired reverse arc's position —
 // the SoA replacement for the former idx^1 trick.
+//
+// live is the live-arc set: one bit per storage position. While an SSP
+// stage runs, bit p is set exactly when capR[p] > 0, so Dijkstra and the
+// topological pass walk a node's run through its set bits, in increasing
+// position as a capacity scan would, and never touch an arc without
+// residual capacity. prepare snapshots the zero-flow set beside the
+// zero-flow capacities, every full re-solve restores both together, and
+// ssp updates the bits of each arc an augmentation changes. Dinic,
+// Bellman–Ford, cycle cancelling and cost scaling read capR and leave the
+// set stale; none of them runs inside an SSP stage.
 type residual struct {
 	n    int
 	tail []int32 // tail[p] = tail node of the arc stored at p
 	to   []int32
 	capR []int64 // remaining capacity
 	cost []int64
-	rev  []int32 // rev[p] = storage position of p's paired reverse arc
-	pos  []int32 // pos[i] = storage position of raw arc index i
+	rev  []int32  // rev[p] = storage position of p's paired reverse arc
+	pos  []int32  // pos[i] = storage position of raw arc index i
+	live []uint64 // bit p%64 of live[p/64]: capR[p] > 0, during SSP stages
 	// CSR index, valid while dirty is false.
 	start []int32 // len n+1; start[v] = first storage position of node v
 	// ensureCSR scratch.
@@ -304,6 +315,47 @@ func (r *residual) ensureCSR() {
 // flowOn reports the flow pushed through forward raw arc idx (== capacity of
 // its reverse arc).
 func (r *residual) flowOn(idx int) int64 { return r.capR[r.pos[idx^1]] }
+
+// fillLive writes into live, sized to hold one bit per entry of caps, the
+// set of positions whose capacity is positive.
+//
+//lea:noalloc
+func fillLive(live []uint64, caps []int64) {
+	clear(live)
+	for p, c := range caps {
+		if c > 0 {
+			live[p>>6] |= 1 << (uint(p) & 63)
+		}
+	}
+}
+
+// syncLive sets or clears the live bit of the arc at storage position p to
+// match its residual capacity.
+//
+//lea:noalloc
+func (r *residual) syncLive(p int32) {
+	if r.capR[p] > 0 {
+		r.live[p>>6] |= 1 << (uint32(p) & 63)
+	} else {
+		r.live[p>>6] &^= 1 << (uint32(p) & 63)
+	}
+}
+
+// liveWord returns word wi of the live set with every position outside the
+// run [lo, hi) cleared. A run's words are lo>>6 through (hi-1)>>6, and the
+// caller takes their set bits lowest first, in storage order.
+//
+//lea:noalloc
+func (r *residual) liveWord(wi, lo, hi int) uint64 {
+	w := r.live[wi]
+	if wi == lo>>6 {
+		w &= ^uint64(0) << (uint(lo) & 63)
+	}
+	if wi == (hi-1)>>6 {
+		w &= ^uint64(0) >> (63 - (uint(hi-1) & 63))
+	}
+	return w
+}
 
 // Stats summarises a network's shape for diagnostics and benchmarks.
 type Stats struct {

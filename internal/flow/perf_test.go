@@ -80,3 +80,36 @@ func TestWarmValueSolveZeroAlloc(t *testing.T) {
 		t.Errorf("warm MinCostFlowValueWithCostsInto allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// scratchSink keeps the scratches the allocation tests build reachable, so
+// the compiler cannot keep them off the heap.
+var scratchSink *Scratch
+
+// TestScratchSizedFirstSolveAllocs: NewScratchSized carves every buffer a
+// solve of its size uses, so a fresh sized scratch plus its first solve (a
+// prepare, both stages and the held costs) allocates exactly what
+// NewScratchSized alone does.
+func TestScratchSizedFirstSolveAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	nw, _, _ := buildWarmInstance(rng)
+	costs := arcCosts(nw)
+	s, tt := nw.N()-2, nw.N()-1
+	var sol Solution
+	var st SolveStats
+	// Size the solution once: it belongs to the caller, not the scratch.
+	if err := nw.MinCostFlowValueWithCostsInto(SSP, costs, nil, s, tt, 3, &sol, &st); err != nil {
+		t.Fatal(err)
+	}
+	alone := testing.AllocsPerRun(20, func() {
+		scratchSink = NewScratchSized(nw.N(), nw.M())
+	})
+	first := testing.AllocsPerRun(20, func() {
+		scratchSink = NewScratchSized(nw.N(), nw.M())
+		if err := nw.MinCostFlowValueWithCostsInto(SSP, costs, scratchSink, s, tt, 3, &sol, &st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if first != alone {
+		t.Errorf("NewScratchSized plus its first solve allocates %.1f/op, NewScratchSized alone %.1f/op", first, alone)
+	}
+}

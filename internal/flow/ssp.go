@@ -1,5 +1,7 @@
 package flow
 
+import "math/bits"
+
 const infCost = int64(1) << 60
 
 // ssp runs successive shortest paths from s to t until `required` units are
@@ -62,8 +64,11 @@ func ssp(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, error) {
 		}
 		for v := t; v != s; {
 			a := prevArc[v]
+			b := r.rev[a]
 			r.capR[a] -= bottleneck
-			r.capR[r.rev[a]] += bottleneck
+			r.capR[b] += bottleneck
+			r.syncLive(a)
+			r.syncLive(b)
 			v = int(r.tail[a])
 		}
 		shipped += bottleneck
@@ -99,9 +104,9 @@ func initPotentials(r *residual, sc *Scratch) ([]int64, error) {
 }
 
 // dagRelax attempts one topological-order relaxation pass over the arcs with
-// residual capacity (Kahn's algorithm). It reports success, having filled
-// dist, only when that subgraph is acyclic; on failure dist is garbage and
-// the caller must fall back to Bellman-Ford.
+// residual capacity, walked through the live set (Kahn's algorithm). It
+// reports success, having filled dist, only when that subgraph is acyclic;
+// on failure dist is garbage and the caller must fall back to Bellman-Ford.
 //
 //lea:noalloc
 func dagRelax(r *residual, sc *Scratch, dist []int64) bool {
@@ -113,11 +118,9 @@ func dagRelax(r *residual, sc *Scratch, dist []int64) bool {
 	for v := range indeg {
 		indeg[v] = 0
 	}
-	for u := 0; u < r.n; u++ {
-		for a := int(r.start[u]); a < int(r.start[u+1]); a++ {
-			if r.capR[a] > 0 {
-				indeg[r.to[a]]++
-			}
+	for wi, w := range r.live {
+		for ; w != 0; w &= w - 1 {
+			indeg[r.to[wi<<6|bits.TrailingZeros64(w)]]++
 		}
 	}
 	if cap(h.stack) < r.n {
@@ -134,19 +137,20 @@ func dagRelax(r *residual, sc *Scratch, dist []int64) bool {
 		u := int(q[qi])
 		processed++
 		du := dist[u]
-		for a := int(r.start[u]); a < int(r.start[u+1]); a++ {
-			if r.capR[a] <= 0 {
-				continue
-			}
-			v := r.to[a]
-			if du < infCost {
-				if d := du + r.cost[a]; d < dist[v] {
-					dist[v] = d
+		lo, hi := int(r.start[u]), int(r.start[u+1])
+		for wi := lo >> 6; wi<<6 < hi; wi++ {
+			for w := r.liveWord(wi, lo, hi); w != 0; w &= w - 1 {
+				a := wi<<6 | bits.TrailingZeros64(w)
+				v := r.to[a]
+				if du < infCost {
+					if d := du + r.cost[a]; d < dist[v] {
+						dist[v] = d
+					}
 				}
-			}
-			indeg[v]--
-			if indeg[v] == 0 {
-				q = append(q, v)
+				indeg[v]--
+				if indeg[v] == 0 {
+					q = append(q, v)
+				}
 			}
 		}
 	}
@@ -207,7 +211,10 @@ func bellmanFord(r *residual, s1, s2 int, dist []int64) ([]int64, error) {
 // among distance-0 entries, and each positive label is recorded with the
 // sequence number its push would have taken, so the heap built from the one
 // live label per node orders them as before. dist and prevArc, and with them
-// every augmenting path, are the heap-only round's.
+// every augmenting path, are the heap-only round's. Both stages walk a
+// node's run through the live-arc set, lowest position first, so they
+// relax the arcs a capacity scan would, in its order, and skip the rest
+// unread.
 //
 //lea:noalloc
 func dijkstra(r *residual, s, t int, pi, dist []int64, prevArc []int32, h *payHeap, st *SolveStats) {
@@ -232,29 +239,35 @@ func dijkstra(r *residual, s, t int, pi, dist []int64, prevArc []int32, h *payHe
 		if u == t {
 			return
 		}
-		for a := int(r.start[u]); a < int(r.start[u+1]); a++ {
-			if r.capR[a] <= 0 {
-				continue
-			}
-			v := int(r.to[a])
-			if pi[v] >= infCost {
-				// Node was unreachable from both roots when initPotentials
-				// ran, and it still is: augmentations add reverse arcs only
-				// between nodes on the path. Its potential is meaningless;
-				// skip it.
-				continue
-			}
-			if d := r.cost[a] + pi[u] - pi[v]; d < dist[v] {
-				dist[v] = d
-				prevArc[v] = int32(a)
-				seq++
-				if d == 0 {
-					stack = append(stack, int32(v))
-				} else {
-					nodeSeq[v] = seq
+		lo, hi := int(r.start[u]), int(r.start[u+1])
+		for wi := lo >> 6; wi<<6 < hi; wi++ {
+			for w := r.liveWord(wi, lo, hi); w != 0; w &= w - 1 {
+				a := wi<<6 | bits.TrailingZeros64(w)
+				v := int(r.to[a])
+				if pi[v] >= infCost {
+					// Node was unreachable from both roots when
+					// initPotentials ran, and it still is: augmentations add
+					// reverse arcs only between nodes on the path. Its
+					// potential is meaningless; skip it.
+					continue
+				}
+				if d := r.cost[a] + pi[u] - pi[v]; d < dist[v] {
+					dist[v] = d
+					prevArc[v] = int32(a)
+					seq++
+					if d == 0 {
+						stack = append(stack, int32(v))
+					} else {
+						nodeSeq[v] = seq
+					}
 				}
 			}
 		}
+	}
+	// The heap takes room for one live entry per node the first time a
+	// network's rounds need it; only stale entries beyond that grow it.
+	if cap(h.a) < len(dist) {
+		h.a = make([]heapItem, 0, len(dist)) //lea:allocs heap sizing on the first heap stage of a larger network
 	}
 	h.a = h.a[:0]
 	for v, d := range dist {
@@ -273,20 +286,21 @@ func dijkstra(r *residual, s, t int, pi, dist []int64, prevArc []int32, h *payHe
 		if u == t {
 			return
 		}
-		for a := int(r.start[u]); a < int(r.start[u+1]); a++ {
-			if r.capR[a] <= 0 {
-				continue
-			}
-			v := int(r.to[a])
-			if pi[v] >= infCost {
-				continue // never reachable, as in the distance-0 stage
-			}
-			rc := it.dist + r.cost[a] + pi[u] - pi[v]
-			if rc < dist[v] {
-				dist[v] = rc
-				prevArc[v] = int32(a)
-				seq++
-				h.push(heapItem{rc, seq, int32(v)})
+		lo, hi := int(r.start[u]), int(r.start[u+1])
+		for wi := lo >> 6; wi<<6 < hi; wi++ {
+			for w := r.liveWord(wi, lo, hi); w != 0; w &= w - 1 {
+				a := wi<<6 | bits.TrailingZeros64(w)
+				v := int(r.to[a])
+				if pi[v] >= infCost {
+					continue // never reachable, as in the distance-0 stage
+				}
+				rc := it.dist + r.cost[a] + pi[u] - pi[v]
+				if rc < dist[v] {
+					dist[v] = rc
+					prevArc[v] = int32(a)
+					seq++
+					h.push(heapItem{rc, seq, int32(v)})
+				}
 			}
 		}
 	}
@@ -309,7 +323,9 @@ func (x heapItem) less(y heapItem) bool {
 // payHeap is a binary min-heap of (dist, seq, node) with lazy deletion,
 // plus the node buffers of a Dijkstra round's distance-0 stage: stack, the
 // frontier, and nodeSeq, the sequence number of each node's latest positive
-// label. dagRelax and dinic borrow both outside the rounds.
+// label. dagRelax and dinic borrow both outside the rounds. The first heap
+// stage on a network gives a room for one entry per node, and
+// NewScratchSized room for heapBound's.
 type payHeap struct {
 	a       []heapItem
 	stack   []int32

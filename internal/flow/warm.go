@@ -98,11 +98,13 @@ func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, s, t int
 	if incremental {
 		st.Incremental = true
 	} else {
-		// A full re-solve, warm or cold, resets the zero-flow capacities from
-		// prepare's storage-ordered snapshot and runs stage 1 from fresh
-		// potentials, exactly the cold solve's rounds. No engine adds or
-		// removes arcs, so prepare's CSR index still holds.
+		// A full re-solve, warm or cold, resets the zero-flow capacities and
+		// their live-arc set from prepare's storage-ordered snapshots and
+		// runs stage 1 from fresh potentials, exactly the cold solve's
+		// rounds. No engine adds or removes arcs, so prepare's CSR index
+		// still holds.
 		copy(r.capR, p.initCap)
+		copy(r.live, p.initLive)
 		sc.installCosts(costs)
 		pushed, err := e.run(sc, p.superS, p.superT, p.required, st)
 		if err != nil {
@@ -183,13 +185,15 @@ func (sc *Scratch) preparedFor(nw *Network, s, t int) bool {
 
 // prepare builds the residual topology for the network's current supplies
 // and the value's endpoints s and t (costs zeroed; each solve installs its
-// own) and snapshots the zero-flow capacities so re-solves can reset in one
-// copy. It is the package's one lower-bound reduction: arc lower bounds
-// shift into node imbalances, which super source/sink arcs then absorb. The
-// lower bounds' constant cost needs no accumulator, because readFlow prices
-// each arc's full flow. The value gets super arcs of its own, into s and out
-// of t, which stage 1 holds at lo, and a t→s arc that only lowestValue
-// opens. When lo exists, prepare leaves a feasible flow of value lo in the
+// own) and snapshots the zero-flow capacities and their live-arc set so
+// re-solves can reset each in one copy. The live set is built from that
+// snapshot, not from the residual, which holds lowestValue's flow. It is
+// the package's one lower-bound reduction: arc lower bounds shift into
+// node imbalances, which super source/sink arcs then absorb. The lower
+// bounds' constant cost needs no accumulator, because readFlow prices each
+// arc's full flow. The value gets super arcs of its own, into s and out of
+// t, which stage 1 holds at lo, and a t→s arc that only lowestValue opens.
+// When lo exists, prepare leaves a feasible flow of value lo in the
 // residual. The value's arcs come first among the super arcs, so stage 1's
 // distance-0 stack pops s, the widest fan-out, after the imbalance nodes:
 // on the radar kernel at memory divisors 2 and 4 that saves up to a quarter
@@ -248,6 +252,11 @@ func (sc *Scratch) prepare(nw *Network, s, t int) error {
 		required += p.lo
 	}
 	p.required = required
+	// The live-arc sets take their exact sizes here, once.
+	words := (len(r.capR) + 63) / 64
+	r.live = growU64(r.live, words)
+	p.initLive = growU64(p.initLive, words)
+	fillLive(p.initLive, p.initCap)
 	p.valid = true // after resetResidual, which clears it
 	return nil
 }

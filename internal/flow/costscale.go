@@ -57,6 +57,16 @@ func costScale(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, er
 	// Dinic's flow is maxC-optimal, where the first phase starts.
 	price := make([]int64, r.n)
 	excess := make([]int64, r.n)
+	// The active nodes' FIFO: a ring of one slot per node, since a node is
+	// queued at most once at a time.
+	queue := make([]int32, r.n)
+	inQueue := make([]bool, r.n)
+	head, queued := 0, 0
+	enqueue := func(v int) {
+		queue[(head+queued)%r.n] = int32(v)
+		queued++
+		inQueue[v] = true
+	}
 
 	rc := func(a int32, u int) int64 {
 		return cost[a] + price[u] - price[r.to[a]]
@@ -80,17 +90,15 @@ func costScale(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, er
 			}
 		}
 		// Discharge active nodes.
-		queue := make([]int, 0, r.n)
-		inQueue := make([]bool, r.n)
 		for u := 0; u < r.n; u++ {
 			if excess[u] > 0 {
-				queue = append(queue, u)
-				inQueue[u] = true
+				enqueue(u)
 			}
 		}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		for queued > 0 {
+			u := int(queue[head])
+			head = (head + 1) % r.n
+			queued--
 			inQueue[u] = false
 			for excess[u] > 0 {
 				pushed := false
@@ -106,8 +114,7 @@ func costScale(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, er
 					push(a, u, amt)
 					pushed = true
 					if excess[v] > 0 && !inQueue[v] {
-						queue = append(queue, v)
-						inQueue[v] = true
+						enqueue(v)
 					}
 					if excess[u] == 0 {
 						break

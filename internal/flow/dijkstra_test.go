@@ -160,7 +160,8 @@ func liveMismatch(r *residual) int {
 
 // TestLiveSetTracksCapacity runs one retained scratch through a corpus of
 // networks with lower bounds, supplies and an Unbounded s→t bypass. On each
-// network it solves cold at the smallest feasible value, climbs the value
+// network it finds the smallest feasible value by solving on another
+// scratch, then solves cold at that value, climbs the value
 // incrementally, re-solves under new costs, solves with cost scaling and
 // then with SSP again. After every SSP solve the live set must hold exactly
 // the positions with residual capacity. Cost scaling leaves the set stale,
@@ -175,15 +176,13 @@ func TestLiveSetTracksCapacity(t *testing.T) {
 		b := int64(1 + rng.Intn(3))
 		nw.AddSupply(s, b)
 		nw.AddSupply(tt, -b)
-		probe := NewScratch()
-		if err := probe.prepare(nw, s, tt); err != nil {
-			t.Fatalf("network %d: %v", i, err)
-		}
-		lo := probe.prep.lo
+		costs := arcCosts(nw)
+		// A minimal feasible flow's every s→t path holds some arc at its
+		// lower bound of 1, so no first feasible value exceeds their count.
+		lo := firstFeasible(t, nw, costs, NewScratch(), s, tt, int64(nw.Stats().LowerBounded))
 		if lo < 0 {
 			continue // lower bounds no value satisfies
 		}
-		costs := arcCosts(nw)
 		recosts := make([]int64, len(costs))
 		for a, c := range costs {
 			recosts[a] = c + int64(rng.Intn(5)-2)

@@ -8,7 +8,7 @@ func (nw *Network) MaxFlow(s, t int) (int64, []int64, error) {
 		return 0, nil, ErrInfeasible
 	}
 	sc := NewScratch()
-	r := sc.resetResidual(nw.n, len(nw.from))
+	r := sc.resetResidual(nw.n, len(nw.from), 0)
 	for i := range nw.from {
 		r.addPair(int(nw.from[i]), int(nw.to[i]), nw.capU[i], 0)
 	}

@@ -112,7 +112,6 @@ func (st SolveStats) String() string {
 // provided for symmetry.
 type Scratch struct {
 	r       residual
-	b       []int64 // node imbalances after lower-bound reduction
 	pi      []int64 // potentials
 	dist    []int64
 	prevArc []int32 // also dinic's BFS levels
@@ -124,7 +123,9 @@ type Scratch struct {
 	valueStage bool
 	// Incremental re-solve state: solved marks that the residual and pi hold
 	// the SSP flow of value held under the lastCosts vector and its
-	// potentials, the starting point for augmenting only a value delta.
+	// potentials, the starting point for augmenting only a value delta. A
+	// flow that leaves a penalty copy with capacity is held too: its solve
+	// reported ErrInfeasible, and a larger value may continue it.
 	solved    bool
 	held      int64
 	lastCosts []int64
@@ -140,8 +141,10 @@ type prepared struct {
 	n, m           int      // node/arc counts at prepare time (guards mutation)
 	s, t           int      // the value's endpoints
 	superS, superT int      // super source and sink
-	lo             int64    // smallest feasible value; -1 when none is
-	required       int64    // stage 1's units: the imbalance plus lo
+	lo             int64    // smallest value the supplies allow; -1 when none is
+	required       int64    // stage 1's units: the supplies plus lo
+	lowered        []int32  // the arcs with a lower bound, in ArcID order
+	copies         int      // raw index of lowered[0]'s penalty copy; lowered[j]'s is copies+2j
 	initCap        []int64  // zero-flow residual capacities, value super arcs at lo
 	initLive       []uint64 // the live-arc set of initCap
 	supply         []int64  // supply snapshot at prepare time
@@ -150,83 +153,28 @@ type prepared struct {
 // NewScratch returns an empty scratch space.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// NewScratchSized returns a scratch pre-sized for networks of up to nodes
-// nodes and arcs arcs (plus the solver's super source/sink, per-node super
-// arcs and the value's three arcs). The node- and arc-indexed buffers are
-// carved out of two contiguous arenas up front, and the live-arc sets and
-// the heap get their largest sizes, so the first solve — not just re-solves
-// — runs without growing any buffer, and the hot arrays sit adjacent in
-// memory.
-func NewScratchSized(nodes, arcs int) *Scratch {
-	if nodes < 0 || arcs < 0 {
-		panic("flow: negative scratch size")
-	}
-	n := nodes + 2              // super source/sink
-	m := 2 * (arcs + nodes + 3) // paired residual arcs incl. super and value arcs
-	words := (m + 63) / 64
-	a64 := make([]int64, 0, 3*n+4*m+nodes+arcs)
-	a32 := make([]int32, 0, 5*n+1+6*m)
-	live := make([]uint64, 2*words)
-	carve64 := func(ln int) []int64 {
-		s := a64[len(a64) : len(a64)+ln : len(a64)+ln]
-		a64 = a64[:len(a64)+ln]
-		return s[:0]
-	}
-	carve32 := func(ln int) []int32 {
-		s := a32[len(a32) : len(a32)+ln : len(a32)+ln]
-		a32 = a32[:len(a32)+ln]
-		return s[:0]
-	}
-	sc := &Scratch{}
-	sc.r = residual{
-		tail:   carve32(m),
-		to:     carve32(m),
-		capR:   carve64(m),
-		cost:   carve64(m),
-		rev:    carve32(m),
-		pos:    carve32(m),
-		live:   live[:words:words],
-		perm:   carve32(m),
-		tmp32:  carve32(m),
-		tmp64:  carve64(m),
-		start:  carve32(n + 1),
-		cursor: carve32(n),
-		dirty:  true,
-	}
-	sc.prep.initCap = carve64(m)
-	sc.prep.initLive = live[words:]
-	sc.prep.supply = carve64(nodes)
-	sc.lastCosts = carve64(arcs)
-	sc.b = carve64(n)
-	sc.pi = carve64(n)
-	sc.dist = carve64(n)
-	sc.prevArc = carve32(n)
-	sc.heap.a = make([]heapItem, 0, heapBound(n, m))
-	sc.heap.nodeSeq = carve32(n)
-	sc.heap.stack = carve32(n)
-	return sc
-}
-
 // resetResidual prepares the scratch's residual for a network of n nodes and
-// about arcHint forward arcs, reusing previous capacity. Any prepared
-// warm-start topology is invalidated: the residual storage is about to be
-// overwritten.
-func (sc *Scratch) resetResidual(n, arcHint int) *residual {
+// about arcHint forward arcs, lowered of them with a lower bound, reusing
+// previous capacity. Any prepared warm-start topology is invalidated: the
+// residual storage is about to be overwritten.
+func (sc *Scratch) resetResidual(n, arcHint, lowered int) *residual {
 	sc.prep.valid = false
 	sc.solved = false
 	r := &sc.r
 	r.n = n
 	r.dirty = true
 	want := 2 * arcHint
-	if cap(r.to) < want {
-		// One arena per element width, as in NewScratchSized: a cold
-		// prepare makes two allocations here, not six.
-		a32 := make([]int32, 4*want)
+	if cap(r.to) < want || cap(sc.prep.lowered) < lowered {
+		// One arena per element width, the list of lower-bounded arcs in
+		// the int32 one: a cold prepare makes two allocations here, not
+		// seven.
+		a32 := make([]int32, 4*want+lowered)
 		a64 := make([]int64, 2*want)
 		r.tail = a32[:0:want]
 		r.to = a32[want : want : 2*want]
 		r.pos = a32[2*want : 2*want : 3*want]
-		r.rev = a32[3*want : 3*want]
+		r.rev = a32[3*want : 3*want : 4*want]
+		sc.prep.lowered = a32[4*want : 4*want]
 		r.capR = a64[:0:want]
 		r.cost = a64[want:want]
 	} else {
@@ -236,6 +184,7 @@ func (sc *Scratch) resetResidual(n, arcHint int) *residual {
 		r.cost = r.cost[:0]
 		r.pos = r.pos[:0]
 		r.rev = r.rev[:0]
+		sc.prep.lowered = sc.prep.lowered[:0]
 	}
 	return r
 }
@@ -255,15 +204,6 @@ func growU64(buf []uint64, n int) []uint64 {
 	}
 	return buf[:n]
 }
-
-// heapBound is the most entries a Dijkstra round's heap can hold on a
-// residual of n nodes and m storage positions: one per node from the
-// distance-0 stage, plus one push per arc pair. A push needs its head not
-// yet expanded, so of an arc and its reverse only the arc leaving the end
-// expanded first can push. Rounds stay far below it (at most 982 entries
-// against about 11,300 on the radar kernel), so only NewScratchSized,
-// whose first solve must grow nothing, reserves it.
-func heapBound(n, m int) int { return n + m/2 }
 
 // grow32 returns buf resized to n, reusing capacity. Contents are undefined.
 func grow32(buf []int32, n int) []int32 {

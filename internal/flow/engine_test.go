@@ -176,8 +176,8 @@ func TestSolveWithDefaults(t *testing.T) {
 	}
 }
 
-// TestSolveWithLowerBounds drives the lower-bound reduction through every
-// engine via the one solve path.
+// TestSolveWithLowerBounds drives lower bounds, priced by their penalty
+// copies, through every engine via the one solve path.
 func TestSolveWithLowerBounds(t *testing.T) {
 	for _, e := range engines() {
 		nw := NewNetwork(2)

@@ -3,6 +3,7 @@ package flow
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -289,13 +290,15 @@ func TestSSPMatchesCycleCancelling(t *testing.T) {
 // with negative costs, lower bounds and cycles: two to four supply nodes and
 // as many demand nodes, each supply node joined to each demand node by a
 // costly Unbounded bypass arc, so that the supplies themselves never make a
-// network infeasible.
-func randomSupplyNetwork(rng *rand.Rand) *Network {
+// network infeasible. With acyclic set it keeps only the arcs from a lower
+// node index to a higher one and numbers the supply nodes below the demand
+// nodes: a DAG, on which lower bounds make no negative cycle.
+func randomSupplyNetwork(rng *rand.Rand, acyclic bool) *Network {
 	n := 8 + rng.Intn(10)
 	nw := NewNetwork(n)
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
-			if u == v || rng.Intn(2) != 0 {
+			if u == v || rng.Intn(2) != 0 || acyclic && u > v {
 				continue
 			}
 			var lower int64
@@ -307,6 +310,9 @@ func randomSupplyNetwork(rng *rand.Rand) *Network {
 	}
 	k := 2 + rng.Intn(3)
 	perm := rng.Perm(n)
+	if acyclic {
+		slices.Sort(perm[:2*k])
+	}
 	for i := 0; i < k; i++ {
 		src, dst := perm[i], perm[k+i]
 		b := int64(1 + rng.Intn(3))
@@ -320,10 +326,11 @@ func randomSupplyNetwork(rng *rand.Rand) *Network {
 }
 
 // TestSSPMatchesCostScaling cross-checks the third engine (cost-scaling
-// push-relabel) against SSP on random instances, then on a fixed corpus of
-// random supply networks, where several Unbounded bypass arcs meet at each
-// demand node. Networks SSP rejects for a negative cycle are skipped: they
-// have no optimum.
+// push-relabel) against SSP on random instances, then on fixed corpora of
+// random supply networks, cyclic and acyclic, where several Unbounded bypass
+// arcs meet at each demand node. Networks SSP rejects for a negative cycle
+// are skipped; nearly every cyclic one has a lower-bounded arc on a cycle,
+// so the acyclic corpus carries the comparison.
 func TestSSPMatchesCostScaling(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -343,34 +350,39 @@ func TestSSPMatchesCostScaling(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(23))
-	compared := 0
-	for i := 0; i < 3000; i++ {
-		nw := randomSupplyNetwork(rng)
-		a, _, errA := bflow(nw, SSP, nil, nil)
-		if errors.Is(errA, ErrNegativeCycle) {
-			continue
-		}
-		b, _, errB := bflow(nw, CostScaling, nil, nil)
-		if errA != nil || errB != nil {
-			if !errors.Is(errA, ErrInfeasible) || !errors.Is(errB, ErrInfeasible) {
-				t.Fatalf("network %d: ssp err %v, costscale err %v", i, errA, errB)
+	for _, acyclic := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(23))
+		compared := 0
+		for i := 0; i < 3000; i++ {
+			nw := randomSupplyNetwork(rng, acyclic)
+			a, _, errA := bflow(nw, SSP, nil, nil)
+			if errors.Is(errA, ErrNegativeCycle) {
+				if acyclic {
+					t.Fatalf("acyclic network %d: %v", i, errA)
+				}
+				continue
 			}
-			continue
+			b, _, errB := bflow(nw, CostScaling, nil, nil)
+			if errA != nil || errB != nil {
+				if !errors.Is(errA, ErrInfeasible) || !errors.Is(errB, ErrInfeasible) {
+					t.Fatalf("network %d (acyclic %t): ssp err %v, costscale err %v", i, acyclic, errA, errB)
+				}
+				continue
+			}
+			if err := nw.CheckFeasible(b); err != nil {
+				t.Fatalf("network %d (acyclic %t): costscale flow: %v", i, acyclic, err)
+			}
+			if a.Cost != b.Cost {
+				t.Fatalf("network %d (acyclic %t): costscale cost %d, ssp %d", i, acyclic, b.Cost, a.Cost)
+			}
+			compared++
 		}
-		if err := nw.CheckFeasible(b); err != nil {
-			t.Fatalf("network %d: costscale flow: %v", i, err)
-		}
-		if a.Cost != b.Cost {
-			t.Fatalf("network %d: costscale cost %d, ssp %d", i, b.Cost, a.Cost)
-		}
-		compared++
+		t.Logf("%d of 3000 supply networks (acyclic %t) feasible and compared", compared, acyclic)
 	}
-	t.Logf("%d of 3000 supply networks feasible and compared", compared)
 }
 
-// TestCostScalingLowerBounds exercises the lower-bound reduction through the
-// cost-scaling engine.
+// TestCostScalingLowerBounds exercises lower bounds, priced by their penalty
+// copies, through the cost-scaling engine.
 func TestCostScalingLowerBounds(t *testing.T) {
 	nw := NewNetwork(2)
 	free := nw.MustArc(0, 1, 0, 10, 0)
@@ -574,6 +586,101 @@ func TestLowerBoundsAgainstBruteForce(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// randomBoundedDAG builds a tiny random DAG between s and t: three inner
+// nodes, arcs from s, into t and from lower to higher inner node each
+// present with probability 2/3, each with a lower bound of 0, 1 or 2 and
+// one or two units of room above it, and an s→t bypass of capacity 6. An arc
+// out of a node nothing enters, or into one nothing leaves, carries a lower
+// bound no value satisfies.
+func randomBoundedDAG(rng *rand.Rand) (*Network, int, int) {
+	const n = 3
+	nw := NewNetwork(n + 2)
+	s, t := n, n+1
+	arc := func(u, v int) {
+		if rng.Intn(3) == 0 {
+			return
+		}
+		lower := int64([]int{0, 0, 0, 0, 1, 2}[rng.Intn(6)])
+		nw.MustArc(u, v, lower, lower+int64(1+rng.Intn(2)), int64(rng.Intn(11)-5))
+	}
+	for u := 0; u < n; u++ {
+		arc(s, u)
+		arc(u, t)
+		for v := u + 1; v < n; v++ {
+			arc(u, v)
+		}
+	}
+	nw.MustArc(s, t, 0, 6, 0)
+	return nw, s, t
+}
+
+// TestPenaltyCopiesAgainstBruteForce pins the penalty pricing to an oracle
+// that shares none of it: on random DAGs with lower bounds, for every value
+// from 0 to 6, the brute-force enumeration of each arc within its real
+// bounds decides feasibility and the optimum cost. A cold solve with each
+// engine, and SSP climbing the values on one retained scratch (through late
+// infeasible verdicts), must return that verdict and cost, and a feasible
+// flow. The corpus must hold values infeasible before a feasible one and
+// networks no value satisfies.
+func TestPenaltyCopiesAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	lateThenFeasible, neverFeasible := 0, 0
+	for i := 0; i < 300; i++ {
+		nw, s, tt := randomBoundedDAG(rng)
+		if nw.Stats().LowerBounded == 0 {
+			continue
+		}
+		sc := NewScratch()
+		infeasibleBefore, feasibleAny := false, false
+		for value := int64(0); value <= 6; value++ {
+			supplies := make([]int64, nw.N())
+			supplies[s], supplies[tt] = value, -value
+			want, feasible := bruteForceMinCost(nw, supplies)
+			check := func(name string, sol *Solution, err error) {
+				t.Helper()
+				if !feasible {
+					if !errors.Is(err, ErrInfeasible) {
+						t.Fatalf("network %d value %d, %s: err %v, want ErrInfeasible", i, value, name, err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("network %d value %d, %s: %v (oracle cost %d)", i, value, name, err, want)
+				}
+				if sol.Cost != want {
+					t.Fatalf("network %d value %d, %s: cost %d, oracle %d", i, value, name, sol.Cost, want)
+				}
+				nw.AddSupply(s, value)
+				nw.AddSupply(tt, -value)
+				err = nw.CheckFeasible(sol)
+				nw.AddSupply(s, -value)
+				nw.AddSupply(tt, value)
+				if err != nil {
+					t.Fatalf("network %d value %d, %s: %v", i, value, name, err)
+				}
+			}
+			for _, e := range engines() {
+				sol, _, err := solveValue(nw, e, nil, nil, s, tt, value)
+				check(e.Name(), sol, err)
+			}
+			sol, _, err := solveValue(nw, SSP, nil, sc, s, tt, value)
+			check("climb", sol, err)
+			if feasible && infeasibleBefore && !feasibleAny {
+				lateThenFeasible++
+			}
+			infeasibleBefore = infeasibleBefore || !feasible
+			feasibleAny = feasibleAny || feasible
+		}
+		if !feasibleAny {
+			neverFeasible++
+		}
+	}
+	if lateThenFeasible == 0 || neverFeasible == 0 {
+		t.Fatalf("%d networks turned feasible after an infeasible value, %d had no feasible value; want both", lateThenFeasible, neverFeasible)
+	}
+	t.Logf("%d networks turned feasible after an infeasible value, %d had no feasible value", lateThenFeasible, neverFeasible)
 }
 
 func TestCheckFeasibleDetectsViolations(t *testing.T) {

@@ -34,19 +34,16 @@ func (nw *Network) CheckFeasible(sol *Solution) error {
 }
 
 // FeasibleFlow computes any flow satisfying the network's lower bounds and
-// supplies, ignoring costs: the feasible flow prepare's Dinic pass leaves on
-// the residual it reduces the network to, the cheap feasibility probe beside
-// MinCostFlowValue's optimum. It returns ErrInfeasible when no such flow
-// exists.
+// supplies, ignoring costs: the solve of the supplies under all-zero costs,
+// where only the penalty copies' costs decide, so the optimum meets every
+// lower bound whenever some flow does. It returns ErrInfeasible when no such
+// flow exists, and prices the flow under the network's own costs.
 func (nw *Network) FeasibleFlow() (*Solution, error) {
 	sc := NewScratch()
-	if err := sc.prepare(nw, 0, 0); err != nil {
+	sol := &Solution{}
+	if err := nw.MinCostFlowValueWithCostsInto(SSP, make([]int64, len(nw.from)), sc, 0, 0, 0, sol, &SolveStats{}); err != nil {
 		return nil, err
 	}
-	if sc.prep.lo < 0 {
-		return nil, ErrInfeasible
-	}
-	sol := &Solution{FlowByArc: make([]int64, len(nw.from))}
-	nw.readFlow(&sc.r, nw.cost, sol)
+	nw.readFlow(sc, nw.cost, sol)
 	return sol, nil
 }

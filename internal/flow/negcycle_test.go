@@ -2,6 +2,7 @@ package flow
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -49,5 +50,46 @@ func TestNegativeCycleScratchReuse(t *testing.T) {
 	}
 	if sol.Cost != 6 {
 		t.Fatalf("cost=%d, want 6", sol.Cost)
+	}
+}
+
+// TestLowerBoundOnCycleIsNegativeCycle: a lower-bounded arc on a cycle of
+// arcs with capacity makes that cycle negative under its penalty copy, so
+// the solve reports ErrNegativeCycle even though the flow 0→1→2 meets the
+// bound.
+func TestLowerBoundOnCycleIsNegativeCycle(t *testing.T) {
+	nw := NewNetwork(3)
+	nw.MustArc(0, 1, 1, 1, 0)
+	nw.MustArc(1, 0, 0, 1, 0)
+	nw.MustArc(1, 2, 0, 1, 0)
+	if _, err := nw.MinCostFlowValue(0, 2, 1); !errors.Is(err, ErrNegativeCycle) {
+		t.Fatalf("err=%v, want ErrNegativeCycle", err)
+	}
+}
+
+// TestPenaltyCostRangeGuard: on a network with a lower bound, a cost vector
+// whose penalty could push a distance past infCost is rejected before any
+// round, with an error that names the limit (±14411518807585587 on the 4
+// residual nodes of a 2-node network); a cost at the limit solves, and so
+// does the same cost without a lower bound, where no penalty applies.
+func TestPenaltyCostRangeGuard(t *testing.T) {
+	const limit = 14411518807585587
+	bounded := NewNetwork(2)
+	bounded.MustArc(0, 1, 1, 2, 0)
+	free := NewNetwork(2)
+	free.MustArc(0, 1, 0, 2, 0)
+	_, _, err := solveValue(bounded, SSP, []int64{limit + 1}, nil, 0, 1, 1)
+	if err == nil || errors.Is(err, ErrInfeasible) || !strings.Contains(err.Error(), "14411518807585587") {
+		t.Fatalf("cost past the limit: err=%v, want an error naming the limit", err)
+	}
+	if _, _, err := solveValue(bounded, SSP, []int64{-limit - 1}, nil, 0, 1, 1); err == nil {
+		t.Fatal("negative cost past the limit accepted")
+	}
+	sol, _, err := solveValue(bounded, SSP, []int64{-limit}, nil, 0, 1, 1)
+	if err != nil || sol.Cost != -limit {
+		t.Fatalf("cost at the limit: sol=%v err=%v", sol, err)
+	}
+	if _, _, err := solveValue(free, SSP, []int64{limit + 1}, nil, 0, 1, 1); err != nil {
+		t.Fatalf("no lower bound: %v", err)
 	}
 }

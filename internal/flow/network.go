@@ -4,21 +4,30 @@
 //   - a Network builder with arc lower bounds, capacities, integer costs and
 //     node imbalances (b-flows);
 //   - one solve path, MinCostFlowValueWithCostsInto, with MinCostFlowValue
-//     as its allocating form: the lower-bound reduction, super source/sink
-//     and smallest feasible value are built once per network on a Scratch,
-//     and a retained Scratch turns re-solves under new costs or flow values
-//     into warm, allocation-free ones. A solve ships the lower-bound units
-//     and the smallest feasible value first, then the rest of the value one
+//     as its allocating form: the residual, super source/sink and the
+//     smallest value the supplies allow are built once per network on a
+//     Scratch, and a retained Scratch turns re-solves under new costs or
+//     flow values into warm, allocation-free ones. A solve ships the supply
+//     units and that smallest value first, then the rest of the value one
 //     shortest s→t path per unit, so a warm re-solve that grows the value
 //     under unchanged costs only runs the extra units' rounds on the held
 //     optimum; every other re-solve starts from fresh potentials. Either
 //     way it returns the cold solve's flow;
+//   - lower bounds as penalty copies: each lower-bounded arc gets a parallel
+//     residual arc whose capacity is the bound and whose cost is the arc's
+//     own less a penalty larger than the cost of any simple path, so an
+//     optimum saturates every copy whenever some flow of the value meets
+//     the bounds, and a copy left with capacity means ErrInfeasible. A
+//     lower-bounded arc on a cycle of the residual makes that cycle
+//     negative, which the solve reports as ErrNegativeCycle: lower bounds
+//     need an acyclic network, as every network this repository builds is;
 //   - successive shortest paths with node potentials as the engine behind
 //     that path, the one every caller above this package runs; cycle
 //     cancelling and cost-scaling push-relabel, both starting from Dinic's
 //     feasible flow, stay exported as the reference engines the
 //     cross-check tests solve with directly;
-//   - a Dinic maximum-flow solver used as a substrate and for feasibility.
+//   - a Dinic maximum-flow solver used as a substrate and for the smallest
+//     value the supplies allow.
 //
 // Costs are int64 fixed-point values: callers quantise their (float) energy
 // figures before building the network. Integer costs make integrality and
@@ -46,6 +55,9 @@ type Network struct {
 	lower, capU []int64
 	cost        []int64
 	supply      []int64
+	// lowerBounded counts the arcs with a positive lower bound, so prepare
+	// sizes their penalty copies without a pass over the arcs.
+	lowerBounded int
 }
 
 // Unbounded is a convenience capacity treated as "effectively infinite".
@@ -59,7 +71,8 @@ var ErrInfeasible = errors.New("flow: infeasible")
 // negative-cost cycle within capacity bounds, so no node potentials exist and
 // minimum cost is unbounded below over circulations. Networks built by
 // internal/netbuild never trip this; hand-built networks with negative arc
-// costs can.
+// costs can, and so can any with a lower-bounded arc on a cycle, whose
+// penalty copy makes that cycle negative.
 var ErrNegativeCycle = errors.New("flow: negative cycle in initial residual network")
 
 // NewNetwork returns an empty network with n nodes.
@@ -119,6 +132,9 @@ func (nw *Network) AddArc(from, to int, lower, capacity, cost int64) (ArcID, err
 	nw.lower = append(nw.lower, lower)
 	nw.capU = append(nw.capU, capacity)
 	nw.cost = append(nw.cost, cost)
+	if lower > 0 {
+		nw.lowerBounded++
+	}
 	return ArcID(len(nw.from) - 1), nil
 }
 
@@ -179,9 +195,9 @@ type Solution struct {
 func (s *Solution) Flow(id ArcID) int64 { return s.FlowByArc[id] }
 
 // residual is the paired-arc residual representation shared by the solvers.
-// Raw arc index 2i is the forward copy of user arc i (after lower-bound
-// reduction when applicable) and 2i+1 its reverse; extra arcs (super
-// source/sink) follow.
+// Raw arc index 2i is the forward copy of user arc i, with its capacity less
+// its lower bound, and 2i+1 its reverse; the super source/sink arcs follow,
+// then one penalty copy pair per lower-bounded arc (prepared.lowered).
 //
 // Storage is structure-of-arrays and, after ensureCSR, physically permuted
 // into CSR order: arcs grouped by tail node (start[v]..start[v+1] delimits
@@ -367,11 +383,8 @@ type Stats struct {
 
 // Stats computes the network's shape summary.
 func (nw *Network) Stats() Stats {
-	st := Stats{Nodes: nw.n, Arcs: len(nw.from)}
+	st := Stats{Nodes: nw.n, Arcs: len(nw.from), LowerBounded: nw.lowerBounded}
 	for i := range nw.from {
-		if nw.lower[i] > 0 {
-			st.LowerBounded++
-		}
 		if nw.cost[i] < 0 {
 			st.NegativeCosts++
 		}

@@ -27,7 +27,7 @@ func buildWarmInstance(rng *rand.Rand) (*Network, []int64, []int64) {
 func TestWarmSolveZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	nw, costsA, costsB := buildWarmInstance(rng)
-	sc := NewScratchSized(nw.N(), nw.M())
+	sc := NewScratch()
 	var sol Solution
 	var st SolveStats
 	if err := nw.MinCostFlowValueWithCostsInto(SSP, costsA, sc, 0, 0, 0, &sol, &st); err != nil {
@@ -61,7 +61,7 @@ func TestWarmValueSolveZeroAlloc(t *testing.T) {
 	nw, _, _ := buildWarmInstance(rng)
 	costs := arcCosts(nw)
 	s, tt := nw.N()-2, nw.N()-1
-	sc := NewScratchSized(nw.N(), nw.M())
+	sc := NewScratch()
 	var sol Solution
 	var st SolveStats
 	for v := int64(1); v <= 3; v++ {
@@ -78,38 +78,5 @@ func TestWarmValueSolveZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm MinCostFlowValueWithCostsInto allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// scratchSink keeps the scratches the allocation tests build reachable, so
-// the compiler cannot keep them off the heap.
-var scratchSink *Scratch
-
-// TestScratchSizedFirstSolveAllocs: NewScratchSized carves every buffer a
-// solve of its size uses, so a fresh sized scratch plus its first solve (a
-// prepare, both stages and the held costs) allocates exactly what
-// NewScratchSized alone does.
-func TestScratchSizedFirstSolveAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	nw, _, _ := buildWarmInstance(rng)
-	costs := arcCosts(nw)
-	s, tt := nw.N()-2, nw.N()-1
-	var sol Solution
-	var st SolveStats
-	// Size the solution once: it belongs to the caller, not the scratch.
-	if err := nw.MinCostFlowValueWithCostsInto(SSP, costs, nil, s, tt, 3, &sol, &st); err != nil {
-		t.Fatal(err)
-	}
-	alone := testing.AllocsPerRun(20, func() {
-		scratchSink = NewScratchSized(nw.N(), nw.M())
-	})
-	first := testing.AllocsPerRun(20, func() {
-		scratchSink = NewScratchSized(nw.N(), nw.M())
-		if err := nw.MinCostFlowValueWithCostsInto(SSP, costs, scratchSink, s, tt, 3, &sol, &st); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if first != alone {
-		t.Errorf("NewScratchSized plus its first solve allocates %.1f/op, NewScratchSized alone %.1f/op", first, alone)
 	}
 }

@@ -324,8 +324,7 @@ func (x heapItem) less(y heapItem) bool {
 // plus the node buffers of a Dijkstra round's distance-0 stage: stack, the
 // frontier, and nodeSeq, the sequence number of each node's latest positive
 // label. dagRelax and dinic borrow both outside the rounds. The first heap
-// stage on a network gives a room for one entry per node, and
-// NewScratchSized room for heapBound's.
+// stage on a network gives a room for one entry per node.
 type payHeap struct {
 	a       []heapItem
 	stack   []int32

@@ -30,12 +30,20 @@ func (nw *Network) MinCostFlowValue(s, t int, value int64) (*Solution, error) {
 // order. A nil scratch allocates fresh storage: a cold solve.
 //
 // The value stays apart from the supplies. Preparing a network on a scratch
-// builds its residual topology once (lower-bound reduction, super
-// source/sink, CSR index) together with lo, the smallest feasible value. A
-// solve then runs in two stages: stage 1 ships the lower-bound and supply
-// units plus lo value units from the super source to the super sink, and
-// stage 2 ships the remaining value − lo units from s to t, one unit per
-// SSP round. A value below lo is ErrInfeasible before any round.
+// builds its residual topology once (super source/sink, penalty copies, CSR
+// index) together with lo, the smallest value the supplies allow. A solve
+// then runs in two stages: stage 1 ships the supply units plus lo value
+// units from the super source to the super sink, and stage 2 ships the
+// remaining value − lo units from s to t, one unit per SSP round. A value
+// below lo is ErrInfeasible before any round. Lower bounds shift nothing
+// into the supplies: each lower-bounded arc has a penalty copy whose cost
+// is the arc's less more than any simple path costs, so the optimum
+// saturates every copy whenever some flow of the value meets the bounds,
+// and a copy left with capacity after the rounds is ErrInfeasible. The
+// penalty needs an acyclic network: a lower-bounded arc on a cycle of arcs
+// with capacity makes that cycle negative, and the solve reports
+// ErrNegativeCycle. A cost vector too wide for the penalty to stay clear of
+// overflow is rejected with an error that names the limit.
 //
 // A retained scratch makes re-solves of the same network and endpoints
 // warm: they reuse the prepared topology, only swapping the cost vector
@@ -43,11 +51,12 @@ func (nw *Network) MinCostFlowValue(s, t int, value int64) (*Solution, error) {
 // unchanged costs that keeps or grows the value runs only the extra stage-2
 // rounds on the held flow and potentials (SolveStats.Incremental): the
 // state cold reaches after the held value's rounds, so the answer is the
-// cold one by construction. Every other re-solve starts from the zero flow
-// and fresh potentials, as a cold solve does, and returns the cold solve's
-// flow arc for arc; a changed supply re-prepares. sol's flow slice is
-// reused, grown only when too small, so a warm re-solve performs zero heap
-// allocations.
+// cold one by construction. That holds after a late ErrInfeasible too,
+// whose flow the scratch keeps, so a larger value continues it. Every other
+// re-solve starts from the zero flow and fresh potentials, as a cold solve
+// does, and returns the cold solve's flow arc for arc; a changed supply
+// re-prepares. sol's flow slice is reused, grown only when too small, so a
+// warm re-solve performs zero heap allocations.
 //
 //lea:noalloc
 func (nw *Network) MinCostFlowValueWithCostsInto(e Engine, costs []int64, sc *Scratch, s, t int, value int64, sol *Solution, st *SolveStats) error {
@@ -105,7 +114,9 @@ func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, s, t int
 		// still holds.
 		copy(r.capR, p.initCap)
 		copy(r.live, p.initLive)
-		sc.installCosts(costs)
+		if err := sc.installCosts(costs); err != nil {
+			return err
+		}
 		pushed, err := e.run(sc, p.superS, p.superT, p.required, st)
 		if err != nil {
 			return err
@@ -132,37 +143,79 @@ func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, s, t int
 		sc.held = value
 		sc.lastCosts = append(sc.lastCosts[:0], costs...)
 	}
+	// A penalty copy left with capacity: no flow of this value meets the
+	// lower bounds. The held flow stays what cold reaches after these
+	// rounds, so a larger value may continue it.
+	for j := range p.lowered {
+		if r.capR[r.pos[p.copies+2*j]] > 0 {
+			return ErrInfeasible
+		}
+	}
 
 	sol.FlowByArc = grow64(sol.FlowByArc, len(nw.from)) //lea:allocs solution slice growth on first solve of a larger network
-	nw.readFlow(r, costs, sol)
+	nw.readFlow(sc, costs, sol)
 	return nil
 }
 
 // readFlow decodes the residual's flow into sol, whose FlowByArc the caller
-// has sized to the arc count: each arc's lower bound plus the flow its
-// forward residual copy carries, priced under costs.
+// has sized to the arc count: the flow each arc's forward residual copy
+// carries plus its penalty copy's, priced under costs.
 //
 //lea:noalloc
-func (nw *Network) readFlow(r *residual, costs []int64, sol *Solution) {
+func (nw *Network) readFlow(sc *Scratch, costs []int64, sol *Solution) {
+	r, p := &sc.r, &sc.prep
 	sol.Cost = 0
 	for i := range nw.from {
-		f := nw.lower[i] + r.flowOn(2*i)
+		f := r.flowOn(2 * i)
 		sol.FlowByArc[i] = f
+		sol.Cost += f * costs[i]
+	}
+	for j, i := range p.lowered {
+		f := r.flowOn(p.copies + 2*j)
+		sol.FlowByArc[i] += f
 		sol.Cost += f * costs[i]
 	}
 }
 
 // installCosts writes the per-arc cost vector onto the forward/reverse
-// residual pairs through the raw-to-storage position map; the extra super
-// source/sink arcs keep their constant zero cost.
+// residual pairs through the raw-to-storage position map; the super arcs
+// keep their constant zero cost. Each penalty copy costs its arc's cost
+// less the penalty n·Cmax + 1, for n residual nodes and Cmax the largest
+// |cost| in the vector. A simple residual cycle has at most n arcs, so
+// apart from penalties it costs at most n·Cmax, and one that fills more
+// copy units than it empties is negative: an optimum saturates every copy
+// whenever some flow of its value can. With the penalty, no path costs
+// more than n·(n·Cmax + 1 + Cmax) in absolute value; a vector that would
+// take that past infCost/4, where Dijkstra's distances could reach
+// infCost, is rejected before any round.
 //
 //lea:noalloc
-func (sc *Scratch) installCosts(costs []int64) {
-	r := &sc.r
+func (sc *Scratch) installCosts(costs []int64) error {
+	r, p := &sc.r, &sc.prep
 	for i, c := range costs {
 		r.cost[r.pos[2*i]] = c
 		r.cost[r.pos[2*i+1]] = -c
 	}
+	if len(p.lowered) == 0 {
+		return nil
+	}
+	n := int64(r.n)
+	limit := (infCost/4/n - 1) / (n + 1)
+	var cmax int64
+	for _, c := range costs {
+		if c > limit || c < -limit {
+			return fmt.Errorf("flow: arc cost %d outside ±%d, the widest range the lower-bound penalty allows on %d nodes", c, limit, n) //lea:allocs error path: cost-range formatting only
+		}
+		cmax = max(cmax, c, -c)
+	}
+	penalty := n*cmax + 1
+	for j, i := range p.lowered {
+		c := costs[i] - penalty
+		q := p.copies + 2*j
+		r.cost[r.pos[q]] = c
+		r.cost[r.pos[q+1]] = -c
+	}
+	return nil
 }
 
 // preparedFor reports whether the scratch holds a prepared residual topology
@@ -187,17 +240,15 @@ func (sc *Scratch) preparedFor(nw *Network, s, t int) bool {
 // and the value's endpoints s and t (costs zeroed; each solve installs its
 // own) and snapshots the zero-flow capacities and their live-arc set so
 // re-solves can reset each in one copy. The live set is built from that
-// snapshot, not from the residual, which holds lowestValue's flow. It is
-// the package's one lower-bound reduction: arc lower bounds shift into
-// node imbalances, which super source/sink arcs then absorb. The lower
-// bounds' constant cost needs no accumulator, because readFlow prices each
-// arc's full flow. The value gets super arcs of its own, into s and out of
-// t, which stage 1 holds at lo, and a t→s arc that only lowestValue opens.
-// When lo exists, prepare leaves a feasible flow of value lo in the
-// residual. The value's arcs come first among the super arcs, so stage 1's
-// distance-0 stack pops s, the widest fan-out, after the imbalance nodes:
-// on the radar kernel at memory divisors 2 and 4 that saves up to a quarter
-// of a full solve's Dijkstra pops.
+// snapshot, not from the residual, which holds lowestValue's flow. Each arc
+// keeps its capacity less its lower bound, and each lower-bounded arc gets
+// a penalty copy, appended after the super arcs, whose capacity is the
+// bound; installCosts prices it. The supplies get super source/sink arcs,
+// and the value gets super arcs of its own, into s and out of t, which
+// stage 1 holds at lo, and a t→s arc that only lowestValue opens. When lo
+// exists, prepare leaves a feasible flow of value lo in the residual. The
+// value's arcs come first among the super arcs, so stage 1's distance-0
+// stack pops s, the widest fan-out, after the supply nodes.
 func (sc *Scratch) prepare(nw *Network, s, t int) error {
 	var total int64
 	for _, b := range nw.supply {
@@ -206,15 +257,8 @@ func (sc *Scratch) prepare(nw *Network, s, t int) error {
 	if total != 0 {
 		return fmt.Errorf("flow: supplies sum to %d, want 0", total)
 	}
-	sc.b = grow64(sc.b, nw.n)
-	b := sc.b
-	copy(b, nw.supply)
-	r := sc.resetResidual(nw.n, len(nw.from)+nw.n+3)
+	r := sc.resetResidual(nw.n, len(nw.from)+nw.n+3+nw.lowerBounded, nw.lowerBounded)
 	for i := range nw.from {
-		if nw.lower[i] > 0 {
-			b[nw.from[i]] -= nw.lower[i]
-			b[nw.to[i]] += nw.lower[i]
-		}
 		r.addPair(int(nw.from[i]), int(nw.to[i]), nw.capU[i]-nw.lower[i], 0)
 	}
 	superS := r.addNode()
@@ -223,17 +267,26 @@ func (sc *Scratch) prepare(nw *Network, s, t int) error {
 	valueOut := r.addPair(t, superT, 0, 0)
 	closing := r.addPair(t, s, 0, 0)
 	var required int64
-	for v := 0; v < nw.n; v++ {
+	for v, b := range nw.supply {
 		switch {
-		case b[v] > 0:
-			r.addPair(superS, v, b[v], 0)
-			required += b[v]
-		case b[v] < 0:
-			r.addPair(v, superT, -b[v], 0)
+		case b > 0:
+			r.addPair(superS, v, b, 0)
+			required += b
+		case b < 0:
+			r.addPair(v, superT, -b, 0)
+		}
+	}
+	p := &sc.prep
+	p.copies = len(r.to)
+	if nw.lowerBounded > 0 {
+		for i, lower := range nw.lower {
+			if lower > 0 {
+				p.lowered = append(p.lowered, int32(i))
+				r.addPair(int(nw.from[i]), int(nw.to[i]), lower, 0)
+			}
 		}
 	}
 	r.ensureCSR()
-	p := &sc.prep
 	p.net = nw
 	p.n = nw.n
 	p.m = len(nw.from)
@@ -241,7 +294,7 @@ func (sc *Scratch) prepare(nw *Network, s, t int) error {
 	p.superS, p.superT = superS, superT
 	p.initCap = append(p.initCap[:0], r.capR...)
 	p.supply = append(p.supply[:0], nw.supply...)
-	// Without imbalances the zero flow is feasible at value 0.
+	// Without supplies the zero flow ships value 0.
 	p.lo = 0
 	if required > 0 {
 		p.lo = sc.lowestValue(required, r.pos[closing], r.pos[closing^1])
@@ -261,15 +314,16 @@ func (sc *Scratch) prepare(nw *Network, s, t int) error {
 	return nil
 }
 
-// lowestValue returns the smallest value the prepared network can ship from
-// s to t, or -1 when none is feasible, by one min-flow computation on the
-// zero-flow residual. With the t→s arc at positions fwd and bwd opened
-// wide, Dinic ships the required imbalance units from the super source to
-// the super sink: a feasible flow whose value, the t→s arc's flow, is left
-// free. With that arc closed again, Dinic from t to s hands back every unit
-// of value some t→s path can carry. That pass cannot cross a super arc: the
-// first saturated every imbalance arc, and the value's own are still
-// closed.
+// lowestValue returns the smallest value the prepared network's supplies
+// allow it to ship from s to t, or -1 when they allow none, by one min-flow
+// computation on the zero-flow residual. Lower bounds play no part: an
+// arc's main and penalty copies together carry its full capacity. With the
+// t→s arc at positions fwd and bwd opened wide, Dinic ships the required
+// supply units from the super source to the super sink: a feasible flow
+// whose value, the t→s arc's flow, is left free. With that arc closed
+// again, Dinic from t to s hands back every unit of value some t→s path can
+// carry. That pass cannot cross a super arc: the first saturated every
+// supply arc, and the value's own are still closed.
 func (sc *Scratch) lowestValue(required int64, fwd, bwd int32) int64 {
 	r, p := &sc.r, &sc.prep
 	r.capR[fwd] = Unbounded

@@ -308,9 +308,25 @@ func randomLowerBoundInstance(rng *rand.Rand) (*Network, int, int) {
 	return nw, s, t
 }
 
+// firstFeasible solves on sc for the values 0, 1, … up to most and returns
+// the first that is feasible, or -1 when none is.
+func firstFeasible(t *testing.T, nw *Network, costs []int64, sc *Scratch, s, tt int, most int64) int64 {
+	t.Helper()
+	for v := int64(0); v <= most; v++ {
+		_, _, err := solveValue(nw, SSP, costs, sc, s, tt, v)
+		if err == nil {
+			return v
+		}
+		if !errors.Is(err, ErrInfeasible) {
+			t.Fatalf("value %d: %v", v, err)
+		}
+	}
+	return -1
+}
+
 // TestValueClimbIsOneRoundPerUnit pins the staged solve on networks with
-// lower bounds, where the lower-bound units take super arcs: on one retained
-// scratch under fixed costs, the value climbs from the first feasible one.
+// lower bounds, priced by penalty copies: on one retained scratch under
+// fixed costs, the value climbs from the first feasible one.
 // Every later step must continue the held flow with exactly one augmentation
 // and return a fresh-scratch solve's flow, arc for arc.
 func TestValueClimbIsOneRoundPerUnit(t *testing.T) {
@@ -320,15 +336,8 @@ func TestValueClimbIsOneRoundPerUnit(t *testing.T) {
 		nw, s, tt := randomLowerBoundInstance(rng)
 		costs := arcCosts(nw)
 		sc := NewScratch()
-		lo := int64(0)
-		for ; lo <= 8; lo++ {
-			if _, _, err := solveValue(nw, SSP, costs, sc, s, tt, lo); err == nil {
-				break
-			} else if !errors.Is(err, ErrInfeasible) {
-				t.Fatalf("instance %d value %d: %v", i, lo, err)
-			}
-		}
-		if lo > 8 {
+		lo := firstFeasible(t, nw, costs, sc, s, tt, 8)
+		if lo < 0 {
 			continue // lower bounds no value satisfies
 		}
 		if lo > 0 {
@@ -356,6 +365,47 @@ func TestValueClimbIsOneRoundPerUnit(t *testing.T) {
 		t.Fatal("no instance had a positive lowest value")
 	}
 	t.Logf("%d of 300 instances had a positive lowest value", staged)
+}
+
+// TestLateInfeasibleVerdictIsContinued: a value too small for the lower
+// bounds fails only after its rounds, when a penalty copy keeps capacity.
+// The scratch holds that flow, cold's state after those rounds, so the next
+// larger value under the same costs must continue it incrementally with one
+// augmentation and return a fresh-scratch solve's verdict and flow, arc for
+// arc.
+func TestLateInfeasibleVerdictIsContinued(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	continued := 0
+	for i := 0; i < 300; i++ {
+		nw, s, tt := randomLowerBoundInstance(rng)
+		costs := arcCosts(nw)
+		sc := NewScratch()
+		_, _, err := solveValue(nw, SSP, costs, sc, s, tt, 0)
+		for value := int64(1); errors.Is(err, ErrInfeasible) && value <= 8; value++ {
+			var warm *Solution
+			var st *SolveStats
+			warm, st, err = solveValue(nw, SSP, costs, sc, s, tt, value)
+			if !st.Incremental || st.Augmentations != 1 {
+				t.Fatalf("instance %d value %d: after an infeasible value, incremental=%t with %d augmentations, want one incremental round",
+					i, value, st.Incremental, st.Augmentations)
+			}
+			cold, _, errC := solveValue(nw, SSP, costs, nil, s, tt, value)
+			if (err == nil) != (errC == nil) {
+				t.Fatalf("instance %d value %d: continued err %v, cold err %v", i, value, err, errC)
+			}
+			if err == nil && !slices.Equal(warm.FlowByArc, cold.FlowByArc) {
+				t.Fatalf("instance %d value %d: continued flow %v, cold %v", i, value, warm.FlowByArc, cold.FlowByArc)
+			}
+			continued++
+		}
+		if err != nil && !errors.Is(err, ErrInfeasible) {
+			t.Fatalf("instance %d: %v", i, err)
+		}
+	}
+	if continued == 0 {
+		t.Fatal("no solve followed an infeasible value")
+	}
+	t.Logf("%d solves continued an infeasible value's flow", continued)
 }
 
 // TestPatchSuppliesFallback: a supply change re-prepares the topology,

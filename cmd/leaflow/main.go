@@ -38,7 +38,7 @@ func main() {
 		schedName = flag.String("sched", "list", `scheduler: "list", "asap" or "fds" (force directed)`)
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON instead of text")
 		simulate  = flag.Bool("simulate", false, "execute each block under its allocation with synthetic inputs and verify it")
-		dimacsOut = flag.String("dimacs", "", "write the flow network of the first block in DIMACS min-cost format")
+		dimacsOut = flag.String("dimacs", "", "write the flow network of the first block, with its R-unit s→t value, in DIMACS min-cost format")
 		asm       = flag.Bool("asm", false, "print the lowered machine instruction stream (loads/stores/moves/ops)")
 		profile   = flag.Bool("profile", false, "print the per-step storage energy profile (implies -simulate)")
 		stats     = flag.Bool("stats", false, "print per-stage wall time and solver work for every block")
@@ -252,7 +252,8 @@ func runCfg(w io.Writer, cfg config, args []string) error {
 				if err != nil {
 					return err
 				}
-				if err := res.Build.Net.WriteDIMACS(f, "lowenergy: "+task+"/"+block.Name); err != nil {
+				b := res.Build
+				if err := b.Net.WriteDIMACS(f, "lowenergy: "+task+"/"+block.Name, b.S, b.T, int64(res.Options.Registers)); err != nil {
 					f.Close()
 					return err
 				}

@@ -162,6 +162,11 @@ func TestRunDimacsExport(t *testing.T) {
 	if !strings.Contains(string(data), "p min ") {
 		t.Errorf("dimacs file malformed:\n%s", data)
 	}
+	// The export states the allocation it solves: 4 register units shipped
+	// from s (node 1) to t (node 2).
+	if !strings.Contains(string(data), "\nn 1 4\nn 2 -4\n") {
+		t.Errorf("dimacs file lacks the value lines of s and t:\n%s", data)
+	}
 }
 
 func TestRunTextSimulate(t *testing.T) {

@@ -11,7 +11,7 @@
 //	LEA10xx  IR programs      (use-before-def, single assignment, handover)
 //	LEA11xx  schedules        (dependences, resource feasibility)
 //	LEA12xx  lifetimes        (set validity, split consistency, regions)
-//	LEA13xx  built networks   (supply balance, bounds, DAG, construction)
+//	LEA13xx  built networks   (bounds, DAG, construction)
 //	LEA14xx  solver outputs   (conservation, optimality certificate, energy)
 package check
 

@@ -40,8 +40,11 @@ func FuzzCheckNetwork(f *testing.F) {
 			}
 			rest = rest[5:]
 		}
+		// A trailing byte picks the source and a value to check
+		// conservation against.
+		s, value := 0, int64(0)
 		if len(rest) > 0 {
-			nw.SetSupply(int(rest[0])%n, int64(rest[0])-16)
+			s, value = int(rest[0])%n, int64(rest[0])-16
 		}
 
 		// Must never panic, only diagnose.
@@ -52,7 +55,7 @@ func FuzzCheckNetwork(f *testing.F) {
 		sol := &flow.Solution{FlowByArc: flows, Cost: int64(len(data))}
 		_, _ = Certify(nw, nil, sol)
 		if len(flows) == nw.M() {
-			good := nw.CheckFeasible(sol) == nil
+			good := nw.CheckFeasible(sol, s, n-1, value) == nil
 			_, ds := Certify(nw, nil, sol)
 			_ = good
 			_ = ds

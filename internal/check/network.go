@@ -8,8 +8,8 @@ import (
 )
 
 // Network validates a flow network's construction invariants: arc bounds
-// consistent (0 ≤ lower ≤ capacity) and node supplies balanced (Σb = 0).
-// Codes LEA1301–LEA1303. It never panics, whatever the input.
+// consistent (0 ≤ lower ≤ capacity). Codes LEA1301–LEA1302. It never
+// panics, whatever the input.
 func Network(nw *flow.Network) Diagnostics {
 	var ds Diagnostics
 	if nw == nil {
@@ -25,13 +25,6 @@ func Network(nw *flow.Network) Diagnostics {
 		if lower > capacity {
 			ds.errorf("LEA1302", pos, "lower bound %d exceeds capacity %d", lower, capacity)
 		}
-	}
-	var sum int64
-	for v := 0; v < nw.N(); v++ {
-		sum += nw.Supply(v)
-	}
-	if sum != 0 {
-		ds.errorf("LEA1303", "", "node supplies sum to %d, want 0", sum)
 	}
 	return ds
 }

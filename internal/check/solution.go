@@ -80,7 +80,7 @@ func Solution(b *netbuild.Build, sol *flow.Solution, registers int) Diagnostics 
 		total += f * costs[id]
 	}
 	for v := 0; v < nw.N(); v++ {
-		want := -nw.Supply(v)
+		var want int64
 		switch v {
 		case b.S:
 			want = -int64(registers)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/exact"
+	"repro/internal/flow"
 	"repro/internal/lifetime"
 	"repro/internal/netbuild"
 	"repro/internal/workload"
@@ -29,6 +30,17 @@ func allocate(t *testing.T, set *lifetime.Set, opts core.Options) *core.Result {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// lowerBounded counts the network's arcs with a positive lower bound.
+func lowerBounded(nw *flow.Network) int {
+	n := 0
+	for id := 0; id < nw.M(); id++ {
+		if _, _, lower, _, _ := nw.Arc(flow.ArcID(id)); lower > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func TestFigure1FullRegisters(t *testing.T) {

@@ -322,7 +322,7 @@ func TestPinnedOptimaMatchExact(t *testing.T) {
 			}
 		}
 		pinned := allocate(t, set, opts)
-		if pinned.Build.Net.Stats().LowerBounded > 0 {
+		if lowerBounded(pinned.Build.Net) > 0 {
 			bounded++
 		}
 		if math.Abs(pinned.TotalEnergy-want) > 1e-6 {

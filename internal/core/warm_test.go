@@ -142,7 +142,7 @@ func TestPreparedRSPClimbIsOneAugmentation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pre.Template().Build.Net.Stats().LowerBounded == 0 {
+		if lowerBounded(pre.Template().Build.Net) == 0 {
 			t.Fatalf("div=%d: no forced segment", div)
 		}
 		view, err := pre.CostView(staticCO())

@@ -47,14 +47,18 @@ func heapOnlyDijkstra(r *residual, s, t int, pi, dist []int64, prevArc []int32, 
 	}
 }
 
-// tieHeavyNetwork builds a random b-flow network whose arc costs are 0, 1 or
-// 2, so that its residuals are full of equal-cost paths and zero reduced
-// costs: arcs of capacity one to three, two to four supply nodes and as many
+// tieHeavyNetwork builds a random network whose arc costs are 0, 1 or 2, so
+// that its residuals are full of equal-cost paths and zero reduced costs:
+// arcs of capacity one to three, and two to four supply nodes and as many
 // demand nodes, each supply node joined to each demand node by an
-// uncapacitated bypass arc so that every instance is feasible.
-func tieHeavyNetwork(rng *rand.Rand) *Network {
+// uncapacitated bypass arc so that every instance is feasible. As in
+// randomSupplyNetwork, an added source feeds each supply node and each
+// demand node drains into an added sink through an arc whose capacity is
+// its supply, and the value is their total.
+func tieHeavyNetwork(rng *rand.Rand) (nw *Network, s, t int, value int64) {
 	n := 8 + rng.Intn(16)
-	nw := NewNetwork(n)
+	nw = NewNetwork(n + 2)
+	s, t = n, n+1
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if u == v || rng.Intn(3) != 0 {
@@ -68,13 +72,14 @@ func tieHeavyNetwork(rng *rand.Rand) *Network {
 	for i := 0; i < k; i++ {
 		src, dst := perm[i], perm[k+i]
 		b := int64(1 + rng.Intn(4))
-		nw.AddSupply(src, b)
-		nw.AddSupply(dst, -b)
+		nw.MustArc(s, src, 0, b, 0)
+		nw.MustArc(dst, t, 0, b, 0)
+		value += b
 		for j := 0; j < k; j++ {
 			nw.MustArc(src, perm[k+j], 0, Unbounded, 2)
 		}
 	}
-	return nw
+	return nw, s, t, value
 }
 
 // TestDijkstraMatchesHeapOnly: on the residuals of solved tie-heavy networks,
@@ -89,9 +94,9 @@ func TestDijkstraMatchesHeapOnly(t *testing.T) {
 	var oracle payHeap
 	atZero, beyond := 0, 0
 	for i := 0; i < 400; i++ {
-		nw := tieHeavyNetwork(rng)
+		nw, s, tt, value := tieHeavyNetwork(rng)
 		sc := NewScratch()
-		if _, _, err := bflow(nw, SSP, nil, sc); err != nil {
+		if _, _, err := solveValue(nw, SSP, nil, sc, s, tt, value); err != nil {
 			t.Fatalf("network %d: %v", i, err)
 		}
 		r := &sc.r
@@ -159,9 +164,9 @@ func liveMismatch(r *residual) int {
 }
 
 // TestLiveSetTracksCapacity runs one retained scratch through a corpus of
-// networks with lower bounds, supplies and an Unbounded s→t bypass. On each
-// network it finds the smallest feasible value by solving on another
-// scratch, then solves cold at that value, climbs the value
+// networks with lower bounds and an Unbounded s→t bypass. On each network
+// it finds the smallest feasible value of at least a random floor by
+// solving on another scratch, then solves cold at that value, climbs the value
 // incrementally, re-solves under new costs, solves with cost scaling and
 // then with SSP again. After every SSP solve the live set must hold exactly
 // the positions with residual capacity. Cost scaling leaves the set stale,
@@ -173,13 +178,12 @@ func TestLiveSetTracksCapacity(t *testing.T) {
 	stale := 0
 	for i := 0; i < 200; i++ {
 		nw, s, tt := randomLowerBoundInstance(rng)
-		b := int64(1 + rng.Intn(3))
-		nw.AddSupply(s, b)
-		nw.AddSupply(tt, -b)
+		floor := int64(1 + rng.Intn(3))
 		costs := arcCosts(nw)
-		// A minimal feasible flow's every s→t path holds some arc at its
-		// lower bound of 1, so no first feasible value exceeds their count.
-		lo := firstFeasible(t, nw, costs, NewScratch(), s, tt, int64(nw.Stats().LowerBounded))
+		// Past the floor, a minimal feasible flow's every s→t path holds
+		// some arc at its lower bound of 1, so no first feasible value
+		// exceeds the floor by more than their count.
+		lo := firstFeasible(t, nw, costs, NewScratch(), s, tt, floor, floor+int64(lowerBounded(nw)))
 		if lo < 0 {
 			continue // lower bounds no value satisfies
 		}

@@ -7,12 +7,13 @@ import (
 	"strings"
 )
 
-// WriteDIMACS emits the network in the DIMACS minimum-cost flow format
-// ("p min ...") so instances can be cross-checked against external solvers
-// (cs2, lemon, ...). Node supplies become "n" lines; arc lower bounds use
-// the standard 4th field ("a src dst low cap cost"). Node IDs are 1-based
-// per the format.
-func (nw *Network) WriteDIMACS(w io.Writer, comment string) error {
+// WriteDIMACS emits the problem of shipping value units from s to t over the
+// network in the DIMACS minimum-cost flow format ("p min ...") so instances
+// can be cross-checked against external solvers (cs2, lemon, ...). The value
+// becomes the "n" lines of s (supply value) and t (demand value); arc lower
+// bounds use the standard 4th field ("a src dst low cap cost"). Node IDs are
+// 1-based per the format.
+func (nw *Network) WriteDIMACS(w io.Writer, comment string, s, t int, value int64) error {
 	bw := bufio.NewWriter(w)
 	if comment != "" {
 		for _, line := range strings.Split(comment, "\n") {
@@ -20,95 +21,10 @@ func (nw *Network) WriteDIMACS(w io.Writer, comment string) error {
 		}
 	}
 	fmt.Fprintf(bw, "p min %d %d\n", nw.n, len(nw.from))
-	for v, b := range nw.supply {
-		if b != 0 {
-			fmt.Fprintf(bw, "n %d %d\n", v+1, b)
-		}
-	}
+	fmt.Fprintf(bw, "n %d %d\n", s+1, value)
+	fmt.Fprintf(bw, "n %d %d\n", t+1, -value)
 	for i := range nw.from {
 		fmt.Fprintf(bw, "a %d %d %d %d %d\n", nw.from[i]+1, nw.to[i]+1, nw.lower[i], nw.capU[i], nw.cost[i])
 	}
 	return bw.Flush()
-}
-
-// ReadDIMACS parses a DIMACS minimum-cost flow instance into a Network.
-// Both the 5-field ("a src dst low cap cost") and 4-field
-// ("a src dst cap cost", zero lower bound) arc forms are accepted.
-func ReadDIMACS(r io.Reader) (*Network, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var nw *Network
-	line := 0
-	for sc.Scan() {
-		line++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "c":
-			// comment
-		case "p":
-			if nw != nil {
-				return nil, fmt.Errorf("flow: dimacs line %d: duplicate problem line", line)
-			}
-			var n, m int
-			if len(fields) != 4 || fields[1] != "min" {
-				return nil, fmt.Errorf("flow: dimacs line %d: want \"p min NODES ARCS\"", line)
-			}
-			if _, err := fmt.Sscanf(fields[2]+" "+fields[3], "%d %d", &n, &m); err != nil {
-				return nil, fmt.Errorf("flow: dimacs line %d: %v", line, err)
-			}
-			if n < 0 {
-				return nil, fmt.Errorf("flow: dimacs line %d: negative node count", line)
-			}
-			nw = NewNetwork(n)
-		case "n":
-			if nw == nil {
-				return nil, fmt.Errorf("flow: dimacs line %d: node line before problem line", line)
-			}
-			var v int
-			var b int64
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("flow: dimacs line %d: want \"n NODE SUPPLY\"", line)
-			}
-			if _, err := fmt.Sscanf(fields[1]+" "+fields[2], "%d %d", &v, &b); err != nil {
-				return nil, fmt.Errorf("flow: dimacs line %d: %v", line, err)
-			}
-			if v < 1 || v > nw.n {
-				return nil, fmt.Errorf("flow: dimacs line %d: node %d out of range", line, v)
-			}
-			nw.SetSupply(v-1, b)
-		case "a":
-			if nw == nil {
-				return nil, fmt.Errorf("flow: dimacs line %d: arc line before problem line", line)
-			}
-			var from, to int
-			var lo, cap, cost int64
-			switch len(fields) {
-			case 6:
-				if _, err := fmt.Sscanf(strings.Join(fields[1:], " "), "%d %d %d %d %d", &from, &to, &lo, &cap, &cost); err != nil {
-					return nil, fmt.Errorf("flow: dimacs line %d: %v", line, err)
-				}
-			case 5:
-				if _, err := fmt.Sscanf(strings.Join(fields[1:], " "), "%d %d %d %d", &from, &to, &cap, &cost); err != nil {
-					return nil, fmt.Errorf("flow: dimacs line %d: %v", line, err)
-				}
-			default:
-				return nil, fmt.Errorf("flow: dimacs line %d: want 4 or 5 arc fields", line)
-			}
-			if _, err := nw.AddArc(from-1, to-1, lo, cap, cost); err != nil {
-				return nil, fmt.Errorf("flow: dimacs line %d: %v", line, err)
-			}
-		default:
-			return nil, fmt.Errorf("flow: dimacs line %d: unknown record %q", line, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if nw == nil {
-		return nil, fmt.Errorf("flow: dimacs: no problem line")
-	}
-	return nw, nil
 }

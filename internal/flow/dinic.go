@@ -1,25 +1,5 @@
 package flow
 
-// MaxFlow computes the maximum s->t flow of the network with Dinic's
-// algorithm, ignoring costs and lower bounds. It returns the flow value and
-// per-arc flows.
-func (nw *Network) MaxFlow(s, t int) (int64, []int64, error) {
-	if s < 0 || s >= nw.n || t < 0 || t >= nw.n {
-		return 0, nil, ErrInfeasible
-	}
-	sc := NewScratch()
-	r := sc.resetResidual(nw.n, len(nw.from), 0)
-	for i := range nw.from {
-		r.addPair(int(nw.from[i]), int(nw.to[i]), nw.capU[i], 0)
-	}
-	value := dinic(sc, s, t, Unbounded)
-	flows := make([]int64, len(nw.from))
-	for i := range nw.from {
-		flows[i] = r.flowOn(2 * i)
-	}
-	return value, flows, nil
-}
-
 // dinic pushes up to `limit` units from s to t in the scratch's residual,
 // returning the amount pushed. It borrows the Dijkstra rounds' node buffers:
 // prevArc holds the BFS levels, the heap's nodeSeq each node's cursor into

@@ -19,8 +19,7 @@ type Engine interface {
 	// run ships up to required units from s to t on the scratch's residual,
 	// recording work counters into st. It returns the amount shipped. It
 	// may move flow but never adds or removes residual arcs. A solve calls
-	// it once per stage: from the super source to the super sink, then,
-	// with Scratch.valueStage set, from the value's s to its t.
+	// it once, on the zero flow or, for SSP, on the flow a held solve left.
 	run(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, error)
 }
 
@@ -118,9 +117,6 @@ type Scratch struct {
 	heap    payHeap // also dagRelax's and dinic's node buffers
 	// prep is the prepared residual topology of the last network solved.
 	prep prepared
-	// valueStage is set while an engine runs stage 2: ssp then keeps the
-	// potentials it finds and ships one unit per round.
-	valueStage bool
 	// Incremental re-solve state: solved marks that the residual and pi hold
 	// the SSP flow of value held under the lastCosts vector and its
 	// potentials, the starting point for augmenting only a value delta. A
@@ -131,23 +127,19 @@ type Scratch struct {
 	lastCosts []int64
 }
 
-// prepared snapshots the residual topology built for one network's supply
-// configuration and value endpoints, so later solves of that network can
-// swap costs and values without rebuilding. Replaced when the scratch
-// prepares another network.
+// prepared snapshots the residual topology built for one network and the
+// value's endpoints, so later solves of that network can swap costs and
+// values without rebuilding. Replaced when the scratch prepares another
+// network or the endpoints change.
 type prepared struct {
-	valid          bool
-	net            *Network // identity of the prepared network
-	n, m           int      // node/arc counts at prepare time (guards mutation)
-	s, t           int      // the value's endpoints
-	superS, superT int      // super source and sink
-	lo             int64    // smallest value the supplies allow; -1 when none is
-	required       int64    // stage 1's units: the supplies plus lo
-	lowered        []int32  // the arcs with a lower bound, in ArcID order
-	copies         int      // raw index of lowered[0]'s penalty copy; lowered[j]'s is copies+2j
-	initCap        []int64  // zero-flow residual capacities, value super arcs at lo
-	initLive       []uint64 // the live-arc set of initCap
-	supply         []int64  // supply snapshot at prepare time
+	valid    bool
+	net      *Network // identity of the prepared network
+	n, m     int      // node/arc counts at prepare time (guards mutation)
+	s, t     int      // the value's endpoints
+	lowered  []int32  // the arcs with a lower bound, in ArcID order
+	copies   int      // raw index of lowered[0]'s penalty copy; lowered[j]'s is copies+2j
+	initCap  []int64  // zero-flow residual capacities
+	initLive []uint64 // the live-arc set of initCap
 }
 
 // NewScratch returns an empty scratch space.

@@ -48,18 +48,16 @@ func TestEnginesAgreeThroughInterface(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nw, s, tt, value := randomInstance(rng)
-		nw.AddSupply(s, value)
-		nw.AddSupply(tt, -value)
-		ref, _, errRef := bflow(nw, SSP, nil, nil)
+		ref, _, errRef := solveValue(nw, SSP, nil, nil, s, tt, value)
 		for _, e := range engines()[1:] {
-			sol, _, err := bflow(nw, e, nil, nil)
+			sol, _, err := solveValue(nw, e, nil, nil, s, tt, value)
 			if errRef != nil || err != nil {
 				if !errors.Is(errRef, ErrInfeasible) || !errors.Is(err, ErrInfeasible) {
 					return false
 				}
 				continue
 			}
-			if nw.CheckFeasible(sol) != nil || sol.Cost != ref.Cost {
+			if nw.CheckFeasible(sol, s, tt, value) != nil || sol.Cost != ref.Cost {
 				return false
 			}
 		}
@@ -122,12 +120,10 @@ func TestSolveStatsPopulated(t *testing.T) {
 		nw.MustArc(1, 3, 0, 3, 1)
 		nw.MustArc(0, 2, 0, 10, 5)
 		nw.MustArc(2, 3, 0, 10, 5)
-		nw.AddSupply(0, 5)
-		nw.AddSupply(3, -5)
 		return nw
 	}
 	for _, e := range engines() {
-		sol, st, err := bflow(build(), e, nil, NewScratch())
+		sol, st, err := solveValue(build(), e, nil, NewScratch(), 0, 3, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -165,9 +161,7 @@ func TestSolveStatsPopulated(t *testing.T) {
 func TestSolveWithDefaults(t *testing.T) {
 	nw := NewNetwork(2)
 	nw.MustArc(0, 1, 0, 5, 2)
-	nw.AddSupply(0, 4)
-	nw.AddSupply(1, -4)
-	sol, st, err := bflow(nw, nil, nil, nil)
+	sol, st, err := solveValue(nw, nil, nil, nil, 0, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

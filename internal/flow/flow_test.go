@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -19,17 +18,23 @@ func mustArc(t *testing.T, nw *Network, from, to int, lower, cap, cost int64) Ar
 }
 
 // solveValue drives the one solve path with fresh result storage: value
-// units from s to t on top of the supplies, under costs (nil: the network's
-// own) on scratch sc (nil: a cold solve).
+// units from s to t, under costs (nil: the network's own) on scratch sc
+// (nil: a cold solve).
 func solveValue(nw *Network, e Engine, costs []int64, sc *Scratch, s, t int, value int64) (*Solution, *SolveStats, error) {
 	sol, st := &Solution{}, &SolveStats{}
 	err := nw.MinCostFlowValueWithCostsInto(e, costs, sc, s, t, value, sol, st)
 	return sol, st, err
 }
 
-// bflow solves the plain b-flow of the network's supplies (value 0).
-func bflow(nw *Network, e Engine, costs []int64, sc *Scratch) (*Solution, *SolveStats, error) {
-	return solveValue(nw, e, costs, sc, 0, 0, 0)
+// lowerBounded counts the network's arcs with a positive lower bound.
+func lowerBounded(nw *Network) int {
+	n := 0
+	for id := range nw.M() {
+		if _, _, lower, _, _ := nw.Arc(ArcID(id)); lower > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func TestSimplePath(t *testing.T) {
@@ -46,9 +51,7 @@ func TestSimplePath(t *testing.T) {
 	if sol.Cost != 4*2+4*3 {
 		t.Fatalf("cost %d, want 20", sol.Cost)
 	}
-	nw.AddSupply(0, 4)
-	nw.AddSupply(2, -4)
-	if err := nw.CheckFeasible(sol); err != nil {
+	if err := nw.CheckFeasible(sol, 0, 2, 4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -116,9 +119,7 @@ func TestLowerBoundsForceFlow(t *testing.T) {
 	if sol.Cost != 200 {
 		t.Fatalf("cost %d, want 200", sol.Cost)
 	}
-	nw.AddSupply(0, 5)
-	nw.AddSupply(1, -5)
-	if err := nw.CheckFeasible(sol); err != nil {
+	if err := nw.CheckFeasible(sol, 0, 1, 5); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -138,15 +139,6 @@ func TestInfeasibleValue(t *testing.T) {
 	mustArc(t, nw, 0, 1, 0, 3, 1)
 	if _, err := nw.MinCostFlowValue(0, 1, 4); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err=%v, want ErrInfeasible", err)
-	}
-}
-
-func TestSupplyMismatchRejected(t *testing.T) {
-	nw := NewNetwork(2)
-	mustArc(t, nw, 0, 1, 0, 3, 1)
-	nw.SetSupply(0, 2)
-	if _, _, err := bflow(nw, SSP, nil, nil); err == nil {
-		t.Fatal("unbalanced supplies accepted")
 	}
 }
 
@@ -177,28 +169,45 @@ func TestZeroFlow(t *testing.T) {
 	}
 }
 
+// TestSupplies: two supplies and one demand through a transshipment node,
+// as a value from an added source node whose arcs into the two supply nodes
+// carry their supplies as capacities.
 func TestSupplies(t *testing.T) {
-	// Two supplies, one demand, transshipment node.
-	nw := NewNetwork(4)
+	nw := NewNetwork(5)
 	a := mustArc(t, nw, 0, 2, 0, 10, 1)
 	b := mustArc(t, nw, 1, 2, 0, 10, 2)
 	c := mustArc(t, nw, 2, 3, 0, 10, 0)
-	nw.SetSupply(0, 3)
-	nw.SetSupply(1, 2)
-	nw.SetSupply(3, -5)
-	sol, _, err := bflow(nw, SSP, nil, nil)
+	src := 4
+	mustArc(t, nw, src, 0, 0, 3, 0)
+	mustArc(t, nw, src, 1, 0, 2, 0)
+	sol, err := nw.MinCostFlowValue(src, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Flow(a) != 3 || sol.Flow(b) != 2 || sol.Flow(c) != 5 {
 		t.Fatalf("flows %v", sol.FlowByArc)
 	}
-	if err := nw.CheckFeasible(sol); err != nil {
+	if err := nw.CheckFeasible(sol, src, 3, 5); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestMaxFlowClassic(t *testing.T) {
+// dinicMax ships as much as Dinic can from s to t over a fresh residual of
+// the network's arcs and returns the value and the flow on each arc.
+func dinicMax(nw *Network, s, t int) (int64, []int64) {
+	sc := NewScratch()
+	sc.prepare(nw, s, t)
+	v := dinic(sc, s, t, Unbounded)
+	flows := make([]int64, nw.M())
+	for i := range flows {
+		flows[i] = sc.r.flowOn(2 * i)
+	}
+	return v, flows
+}
+
+// TestDinicClassic: Dinic, the reference engines' first step, finds the
+// maximum flow of a classic diamond and conserves it.
+func TestDinicClassic(t *testing.T) {
 	// Classic 4-node diamond with a cross arc.
 	nw := NewNetwork(4)
 	mustArc(t, nw, 0, 1, 0, 3, 0)
@@ -206,10 +215,7 @@ func TestMaxFlowClassic(t *testing.T) {
 	mustArc(t, nw, 1, 2, 0, 5, 0)
 	mustArc(t, nw, 1, 3, 0, 2, 0)
 	mustArc(t, nw, 2, 3, 0, 3, 0)
-	v, flows, err := nw.MaxFlow(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v, flows := dinicMax(nw, 0, 3)
 	if v != 5 {
 		t.Fatalf("max flow %d, want 5", v)
 	}
@@ -228,15 +234,11 @@ func TestMaxFlowClassic(t *testing.T) {
 	}
 }
 
-func TestMaxFlowDisconnected(t *testing.T) {
+func TestDinicDisconnected(t *testing.T) {
 	nw := NewNetwork(4)
 	mustArc(t, nw, 0, 1, 0, 3, 0)
 	mustArc(t, nw, 2, 3, 0, 3, 0)
-	v, _, err := nw.MaxFlow(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0 {
+	if v, _ := dinicMax(nw, 0, 3); v != 0 {
 		t.Fatalf("max flow %d, want 0", v)
 	}
 }
@@ -269,14 +271,12 @@ func TestSSPMatchesCycleCancelling(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nw, s, tt, value := randomInstance(rng)
-		nw.AddSupply(s, value)
-		nw.AddSupply(tt, -value)
-		a, _, errA := bflow(nw, SSP, nil, nil)
-		b, _, errB := bflow(nw, CycleCancelling, nil, nil)
+		a, _, errA := solveValue(nw, SSP, nil, nil, s, tt, value)
+		b, _, errB := solveValue(nw, CycleCancelling, nil, nil, s, tt, value)
 		if errA != nil || errB != nil {
 			return errors.Is(errA, ErrInfeasible) && errors.Is(errB, ErrInfeasible)
 		}
-		if nw.CheckFeasible(a) != nil || nw.CheckFeasible(b) != nil {
+		if nw.CheckFeasible(a, s, tt, value) != nil || nw.CheckFeasible(b, s, tt, value) != nil {
 			return false
 		}
 		return a.Cost == b.Cost
@@ -286,16 +286,21 @@ func TestSSPMatchesCycleCancelling(t *testing.T) {
 	}
 }
 
-// randomSupplyNetwork builds a random b-flow network of unit-capacity arcs
-// with negative costs, lower bounds and cycles: two to four supply nodes and
+// randomSupplyNetwork builds a random network of unit-capacity arcs with
+// negative costs, lower bounds and cycles, and two to four supply nodes and
 // as many demand nodes, each supply node joined to each demand node by a
-// costly Unbounded bypass arc, so that the supplies themselves never make a
-// network infeasible. With acyclic set it keeps only the arcs from a lower
-// node index to a higher one and numbers the supply nodes below the demand
+// costly Unbounded bypass arc. The supplies and demands become an s→t
+// value: an added source node feeds each supply node through an arc whose
+// capacity is its supply, each demand node drains into an added sink node
+// the same way, and the value is their total, so every flow of the value
+// meets them exactly and the supplies themselves never make a network
+// infeasible. With acyclic set it keeps only the arcs from a lower node
+// index to a higher one and numbers the supply nodes below the demand
 // nodes: a DAG, on which lower bounds make no negative cycle.
-func randomSupplyNetwork(rng *rand.Rand, acyclic bool) *Network {
+func randomSupplyNetwork(rng *rand.Rand, acyclic bool) (nw *Network, s, t int, value int64) {
 	n := 8 + rng.Intn(10)
-	nw := NewNetwork(n)
+	nw = NewNetwork(n + 2)
+	s, t = n, n+1
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if u == v || rng.Intn(2) != 0 || acyclic && u > v {
@@ -316,13 +321,14 @@ func randomSupplyNetwork(rng *rand.Rand, acyclic bool) *Network {
 	for i := 0; i < k; i++ {
 		src, dst := perm[i], perm[k+i]
 		b := int64(1 + rng.Intn(3))
-		nw.AddSupply(src, b)
-		nw.AddSupply(dst, -b)
+		nw.MustArc(s, src, 0, b, 0)
+		nw.MustArc(dst, t, 0, b, 0)
+		value += b
 		for j := 0; j < k; j++ {
 			nw.MustArc(src, perm[k+j], 0, Unbounded, 20)
 		}
 	}
-	return nw
+	return nw, s, t, value
 }
 
 // TestSSPMatchesCostScaling cross-checks the third engine (cost-scaling
@@ -335,14 +341,12 @@ func TestSSPMatchesCostScaling(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nw, s, tt, value := randomInstance(rng)
-		nw.AddSupply(s, value)
-		nw.AddSupply(tt, -value)
-		a, _, errA := bflow(nw, SSP, nil, nil)
-		b, _, errB := bflow(nw, CostScaling, nil, nil)
+		a, _, errA := solveValue(nw, SSP, nil, nil, s, tt, value)
+		b, _, errB := solveValue(nw, CostScaling, nil, nil, s, tt, value)
 		if errA != nil || errB != nil {
 			return errors.Is(errA, ErrInfeasible) && errors.Is(errB, ErrInfeasible)
 		}
-		if nw.CheckFeasible(b) != nil {
+		if nw.CheckFeasible(b, s, tt, value) != nil {
 			return false
 		}
 		return a.Cost == b.Cost
@@ -354,22 +358,22 @@ func TestSSPMatchesCostScaling(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
 		compared := 0
 		for i := 0; i < 3000; i++ {
-			nw := randomSupplyNetwork(rng, acyclic)
-			a, _, errA := bflow(nw, SSP, nil, nil)
+			nw, s, tt, value := randomSupplyNetwork(rng, acyclic)
+			a, _, errA := solveValue(nw, SSP, nil, nil, s, tt, value)
 			if errors.Is(errA, ErrNegativeCycle) {
 				if acyclic {
 					t.Fatalf("acyclic network %d: %v", i, errA)
 				}
 				continue
 			}
-			b, _, errB := bflow(nw, CostScaling, nil, nil)
+			b, _, errB := solveValue(nw, CostScaling, nil, nil, s, tt, value)
 			if errA != nil || errB != nil {
 				if !errors.Is(errA, ErrInfeasible) || !errors.Is(errB, ErrInfeasible) {
 					t.Fatalf("network %d (acyclic %t): ssp err %v, costscale err %v", i, acyclic, errA, errB)
 				}
 				continue
 			}
-			if err := nw.CheckFeasible(b); err != nil {
+			if err := nw.CheckFeasible(b, s, tt, value); err != nil {
 				t.Fatalf("network %d (acyclic %t): costscale flow: %v", i, acyclic, err)
 			}
 			if a.Cost != b.Cost {
@@ -387,9 +391,7 @@ func TestCostScalingLowerBounds(t *testing.T) {
 	nw := NewNetwork(2)
 	free := nw.MustArc(0, 1, 0, 10, 0)
 	forced := nw.MustArc(0, 1, 2, 10, 100)
-	nw.AddSupply(0, 5)
-	nw.AddSupply(1, -5)
-	sol, _, err := bflow(nw, CostScaling, nil, nil)
+	sol, _, err := solveValue(nw, CostScaling, nil, nil, 0, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +406,7 @@ func TestCostScalingLowerBounds(t *testing.T) {
 func TestCostScalingZeroFlow(t *testing.T) {
 	nw := NewNetwork(2)
 	nw.MustArc(0, 1, 0, 3, -5)
-	sol, _, err := bflow(nw, CostScaling, nil, nil)
+	sol, _, err := solveValue(nw, CostScaling, nil, nil, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,12 +425,7 @@ func TestSolutionFeasibilityProperty(t *testing.T) {
 		if err != nil {
 			return false // bypass arc guarantees feasibility
 		}
-		nw.AddSupply(s, value)
-		nw.AddSupply(tt, -value)
-		ok := nw.CheckFeasible(sol) == nil
-		nw.AddSupply(s, -value)
-		nw.AddSupply(tt, value)
-		return ok
+		return nw.CheckFeasible(sol, s, tt, value) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -470,9 +467,9 @@ func TestMonotoneCostInValue(t *testing.T) {
 
 // bruteForceMinCost enumerates all integral flows on a tiny network by
 // recursing over arc flow values, each arc from its lower bound to its
-// capacity, and returns the optimal cost for the given supplies, or false
-// when infeasible.
-func bruteForceMinCost(nw *Network, supplies []int64) (int64, bool) {
+// capacity, and returns the optimal cost of shipping value units from s to
+// t, or false when no flow ships them.
+func bruteForceMinCost(nw *Network, s, t int, value int64) (int64, bool) {
 	m := nw.M()
 	flows := make([]int64, m)
 	net := make([]int64, nw.N())
@@ -489,8 +486,10 @@ func bruteForceMinCost(nw *Network, supplies []int64) (int64, bool) {
 				net[to] -= flows[j]
 				cost += flows[j] * c
 			}
+			net[s] -= value
+			net[t] += value
 			for v := 0; v < nw.N(); v++ {
-				if net[v] != supplies[v] {
+				if net[v] != 0 {
 					return
 				}
 			}
@@ -534,10 +533,7 @@ func TestOptimalityAgainstBruteForce(t *testing.T) {
 		}
 		nw.MustArc(s, tt, 0, 3, 0)
 		value := int64(1 + rng.Intn(3))
-		supplies := make([]int64, nw.N())
-		supplies[s] = value
-		supplies[tt] = -value
-		want, feasible := bruteForceMinCost(nw, supplies)
+		want, feasible := bruteForceMinCost(nw, s, tt, value)
 		sol, err := nw.MinCostFlowValue(s, tt, value)
 		if !feasible {
 			return errors.Is(err, ErrInfeasible)
@@ -570,10 +566,7 @@ func TestLowerBoundsAgainstBruteForce(t *testing.T) {
 		}
 		nw.MustArc(s, tt, 0, 6, 0)
 		value := int64(2 + rng.Intn(3))
-		supplies := make([]int64, nw.N())
-		supplies[s] = value
-		supplies[tt] = -value
-		want, feasible := bruteForceMinCost(nw, supplies)
+		want, feasible := bruteForceMinCost(nw, s, tt, value)
 		sol, err := nw.MinCostFlowValue(s, tt, value)
 		if !feasible {
 			return errors.Is(err, ErrInfeasible)
@@ -629,15 +622,13 @@ func TestPenaltyCopiesAgainstBruteForce(t *testing.T) {
 	lateThenFeasible, neverFeasible := 0, 0
 	for i := 0; i < 300; i++ {
 		nw, s, tt := randomBoundedDAG(rng)
-		if nw.Stats().LowerBounded == 0 {
+		if lowerBounded(nw) == 0 {
 			continue
 		}
 		sc := NewScratch()
 		infeasibleBefore, feasibleAny := false, false
 		for value := int64(0); value <= 6; value++ {
-			supplies := make([]int64, nw.N())
-			supplies[s], supplies[tt] = value, -value
-			want, feasible := bruteForceMinCost(nw, supplies)
+			want, feasible := bruteForceMinCost(nw, s, tt, value)
 			check := func(name string, sol *Solution, err error) {
 				t.Helper()
 				if !feasible {
@@ -652,12 +643,7 @@ func TestPenaltyCopiesAgainstBruteForce(t *testing.T) {
 				if sol.Cost != want {
 					t.Fatalf("network %d value %d, %s: cost %d, oracle %d", i, value, name, sol.Cost, want)
 				}
-				nw.AddSupply(s, value)
-				nw.AddSupply(tt, -value)
-				err = nw.CheckFeasible(sol)
-				nw.AddSupply(s, -value)
-				nw.AddSupply(tt, value)
-				if err != nil {
+				if err := nw.CheckFeasible(sol, s, tt, value); err != nil {
 					t.Fatalf("network %d value %d, %s: %v", i, value, name, err)
 				}
 			}
@@ -686,31 +672,28 @@ func TestPenaltyCopiesAgainstBruteForce(t *testing.T) {
 func TestCheckFeasibleDetectsViolations(t *testing.T) {
 	nw := NewNetwork(2)
 	id := mustArc(t, nw, 0, 1, 1, 3, 2)
-	nw.SetSupply(0, 2)
-	nw.SetSupply(1, -2)
 
 	good := &Solution{FlowByArc: []int64{2}, Cost: 4}
-	if err := nw.CheckFeasible(good); err != nil {
+	if err := nw.CheckFeasible(good, 0, 1, 2); err != nil {
 		t.Fatalf("good solution rejected: %v", err)
 	}
 	cases := []*Solution{
 		{FlowByArc: []int64{0}, Cost: 0},    // below lower bound
 		{FlowByArc: []int64{4}, Cost: 8},    // above capacity
-		{FlowByArc: []int64{3}, Cost: 6},    // violates supply
+		{FlowByArc: []int64{3}, Cost: 6},    // ships more than the value
 		{FlowByArc: []int64{2}, Cost: 5},    // wrong cost
 		{FlowByArc: []int64{2, 2}, Cost: 4}, // wrong arc count
 	}
 	for i, bad := range cases {
-		if err := nw.CheckFeasible(bad); err == nil {
+		if err := nw.CheckFeasible(bad, 0, 1, 2); err == nil {
 			t.Errorf("case %d: bad solution accepted (arc %d)", i, id)
 		}
 	}
-}
-
-func TestMaxFlowBadEndpoints(t *testing.T) {
-	nw := NewNetwork(2)
-	if _, _, err := nw.MaxFlow(-1, 1); err == nil {
-		t.Fatal("negative endpoint accepted")
+	if err := nw.CheckFeasible(good, 0, 1, 3); err == nil {
+		t.Error("flow short of the value accepted")
+	}
+	if err := nw.CheckFeasible(good, -1, 1, 2); err == nil {
+		t.Error("negative endpoint accepted")
 	}
 }
 
@@ -721,88 +704,5 @@ func TestMinCostFlowValueBadArgs(t *testing.T) {
 	}
 	if _, err := nw.MinCostFlowValue(0, 9, 1); err == nil {
 		t.Fatal("bad endpoint accepted")
-	}
-}
-
-func TestSuppliesRestoredAfterSolve(t *testing.T) {
-	nw := NewNetwork(2)
-	mustArc(t, nw, 0, 1, 0, 5, 1)
-	if _, err := nw.MinCostFlowValue(0, 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if nw.supply[0] != 0 || nw.supply[1] != 0 {
-		t.Fatalf("supplies not restored: %v", nw.supply)
-	}
-}
-
-func TestStats(t *testing.T) {
-	nw := NewNetwork(3)
-	nw.MustArc(0, 1, 1, 2, -5)
-	nw.MustArc(1, 2, 0, 2, 3)
-	nw.SetSupply(0, 2)
-	nw.SetSupply(2, -2)
-	st := nw.Stats()
-	if st.Nodes != 3 || st.Arcs != 2 || st.LowerBounded != 1 || st.NegativeCosts != 1 || st.TotalSupply != 2 {
-		t.Fatalf("stats %+v", st)
-	}
-	if s := st.String(); !strings.Contains(s, "arcs=2") {
-		t.Fatalf("string %q", s)
-	}
-}
-
-func TestFeasibleFlow(t *testing.T) {
-	nw := NewNetwork(3)
-	a := nw.MustArc(0, 1, 2, 5, 100)
-	b := nw.MustArc(1, 2, 0, 5, 100)
-	nw.SetSupply(0, 3)
-	nw.SetSupply(2, -3)
-	sol, err := nw.FeasibleFlow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.CheckFeasible(sol); err != nil {
-		t.Fatal(err)
-	}
-	if sol.Flow(a) < 2 || sol.Flow(b) != 3 {
-		t.Fatalf("flows %v", sol.FlowByArc)
-	}
-}
-
-func TestFeasibleFlowInfeasible(t *testing.T) {
-	nw := NewNetwork(2)
-	nw.MustArc(0, 1, 4, 5, 0)
-	nw.SetSupply(0, 1)
-	nw.SetSupply(1, -1)
-	if _, err := nw.FeasibleFlow(); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("err %v", err)
-	}
-	nw2 := NewNetwork(2)
-	nw2.SetSupply(0, 1)
-	if _, err := nw2.FeasibleFlow(); err == nil {
-		t.Fatal("unbalanced supplies accepted")
-	}
-}
-
-// TestFeasibleFlowAgreesWithSolve: feasibility verdicts must match the
-// optimising solver's on random instances.
-func TestFeasibleFlowAgreesWithSolve(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4
-		nw := NewNetwork(n + 2)
-		s, tt := n, n+1
-		for u := 0; u < n; u++ {
-			nw.MustArc(s, u, int64(rng.Intn(2)), 2, 0)
-			nw.MustArc(u, tt, int64(rng.Intn(2)), 2, 0)
-		}
-		value := int64(rng.Intn(5))
-		nw.SetSupply(s, value)
-		nw.SetSupply(tt, -value)
-		_, errA := nw.FeasibleFlow()
-		_, _, errB := bflow(nw, SSP, nil, nil)
-		return (errA == nil) == (errB == nil)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
 	}
 }

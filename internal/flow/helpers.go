@@ -2,12 +2,17 @@ package flow
 
 import "fmt"
 
-// CheckFeasible verifies that sol satisfies conservation, bounds and the
-// network's supplies; it returns a descriptive error on the first violation.
+// CheckFeasible verifies that sol ships value units from s to t: every arc's
+// flow within its bounds, a net outflow of value at s, of -value at t and
+// of zero at every other node (zero everywhere when s == t), and the
+// reported cost. It returns a descriptive error on the first violation.
 // Used by tests and as a post-solve assertion in debug paths.
-func (nw *Network) CheckFeasible(sol *Solution) error {
+func (nw *Network) CheckFeasible(sol *Solution, s, t int, value int64) error {
 	if len(sol.FlowByArc) != len(nw.from) {
 		return fmt.Errorf("flow: solution has %d arcs, network has %d", len(sol.FlowByArc), len(nw.from))
+	}
+	if s < 0 || s >= nw.n || t < 0 || t >= nw.n {
+		return fmt.Errorf("flow: endpoint out of range")
 	}
 	net := make([]int64, nw.n)
 	for i := range nw.from {
@@ -18,9 +23,13 @@ func (nw *Network) CheckFeasible(sol *Solution) error {
 		net[nw.from[i]] += f
 		net[nw.to[i]] -= f
 	}
-	for v := 0; v < nw.n; v++ {
-		if net[v] != nw.supply[v] {
-			return fmt.Errorf("flow: node %d ships %d, supply is %d", v, net[v], nw.supply[v])
+	if s != t {
+		net[s] -= value
+		net[t] += value
+	}
+	for v, excess := range net {
+		if excess != 0 {
+			return fmt.Errorf("flow: node %d is out of balance by %d for %d units from %d to %d", v, excess, value, s, t)
 		}
 	}
 	var cost int64
@@ -31,19 +40,4 @@ func (nw *Network) CheckFeasible(sol *Solution) error {
 		return fmt.Errorf("flow: recomputed cost %d != reported %d", cost, sol.Cost)
 	}
 	return nil
-}
-
-// FeasibleFlow computes any flow satisfying the network's lower bounds and
-// supplies, ignoring costs: the solve of the supplies under all-zero costs,
-// where only the penalty copies' costs decide, so the optimum meets every
-// lower bound whenever some flow does. It returns ErrInfeasible when no such
-// flow exists, and prices the flow under the network's own costs.
-func (nw *Network) FeasibleFlow() (*Solution, error) {
-	sc := NewScratch()
-	sol := &Solution{}
-	if err := nw.MinCostFlowValueWithCostsInto(SSP, make([]int64, len(nw.from)), sc, 0, 0, 0, sol, &SolveStats{}); err != nil {
-		return nil, err
-	}
-	nw.readFlow(sc, nw.cost, sol)
-	return sol, nil
 }

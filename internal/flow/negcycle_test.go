@@ -30,11 +30,9 @@ func TestNegativeCycleScratchReuse(t *testing.T) {
 	nw.MustArc(2, 3, 0, 5, -1)
 	nw.MustArc(3, 2, 0, 5, 0)
 	nw.MustArc(2, 1, 0, 1, 0)
-	nw.SetSupply(0, 1)
-	nw.SetSupply(1, -1)
 
 	var sc Scratch
-	if _, _, err := bflow(nw, SSP, nil, &sc); !errors.Is(err, ErrNegativeCycle) {
+	if _, _, err := solveValue(nw, SSP, nil, &sc, 0, 1, 1); !errors.Is(err, ErrNegativeCycle) {
 		t.Fatalf("err=%v, want ErrNegativeCycle", err)
 	}
 
@@ -42,9 +40,7 @@ func TestNegativeCycleScratchReuse(t *testing.T) {
 	// scratch.
 	ok := NewNetwork(2)
 	ok.MustArc(0, 1, 0, 3, 2)
-	ok.SetSupply(0, 3)
-	ok.SetSupply(1, -3)
-	sol, _, err := bflow(ok, SSP, nil, &sc)
+	sol, _, err := solveValue(ok, SSP, nil, &sc, 0, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,17 +65,17 @@ func TestLowerBoundOnCycleIsNegativeCycle(t *testing.T) {
 
 // TestPenaltyCostRangeGuard: on a network with a lower bound, a cost vector
 // whose penalty could push a distance past infCost is rejected before any
-// round, with an error that names the limit (±14411518807585587 on the 4
+// round, with an error that names the limit (±48038396025285290 on the 2
 // residual nodes of a 2-node network); a cost at the limit solves, and so
 // does the same cost without a lower bound, where no penalty applies.
 func TestPenaltyCostRangeGuard(t *testing.T) {
-	const limit = 14411518807585587
+	const limit = 48038396025285290
 	bounded := NewNetwork(2)
 	bounded.MustArc(0, 1, 1, 2, 0)
 	free := NewNetwork(2)
 	free.MustArc(0, 1, 0, 2, 0)
 	_, _, err := solveValue(bounded, SSP, []int64{limit + 1}, nil, 0, 1, 1)
-	if err == nil || errors.Is(err, ErrInfeasible) || !strings.Contains(err.Error(), "14411518807585587") {
+	if err == nil || errors.Is(err, ErrInfeasible) || !strings.Contains(err.Error(), "48038396025285290") {
 		t.Fatalf("cost past the limit: err=%v, want an error naming the limit", err)
 	}
 	if _, _, err := solveValue(bounded, SSP, []int64{-limit - 1}, nil, 0, 1, 1); err == nil {

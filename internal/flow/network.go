@@ -1,18 +1,16 @@
 // Package flow implements minimum-cost network flow, the solution engine of
 // the paper. It provides:
 //
-//   - a Network builder with arc lower bounds, capacities, integer costs and
-//     node imbalances (b-flows);
+//   - a Network builder with arc lower bounds, capacities and integer costs,
+//     whose solves ship a flow value from a source s to a sink t;
 //   - one solve path, MinCostFlowValueWithCostsInto, with MinCostFlowValue
-//     as its allocating form: the residual, super source/sink and the
-//     smallest value the supplies allow are built once per network on a
+//     as its allocating form: the residual is built once per network on a
 //     Scratch, and a retained Scratch turns re-solves under new costs or
-//     flow values into warm, allocation-free ones. A solve ships the supply
-//     units and that smallest value first, then the rest of the value one
-//     shortest s→t path per unit, so a warm re-solve that grows the value
-//     under unchanged costs only runs the extra units' rounds on the held
-//     optimum; every other re-solve starts from fresh potentials. Either
-//     way it returns the cold solve's flow;
+//     flow values into warm, allocation-free ones. A solve ships the value
+//     one shortest s→t path per unit, so a warm re-solve that grows the
+//     value under unchanged costs only runs the extra units' rounds on the
+//     held optimum; every other re-solve starts from the zero flow and
+//     fresh potentials. Either way it returns the cold solve's flow;
 //   - lower bounds as penalty copies: each lower-bounded arc gets a parallel
 //     residual arc whose capacity is the bound and whose cost is the arc's
 //     own less a penalty larger than the cost of any simple path, so an
@@ -23,11 +21,9 @@
 //     need an acyclic network, as every network this repository builds is;
 //   - successive shortest paths with node potentials as the engine behind
 //     that path, the one every caller above this package runs; cycle
-//     cancelling and cost-scaling push-relabel, both starting from Dinic's
-//     feasible flow, stay exported as the reference engines the
-//     cross-check tests solve with directly;
-//   - a Dinic maximum-flow solver used as a substrate and for the smallest
-//     value the supplies allow.
+//     cancelling and cost-scaling push-relabel, both starting from the
+//     value Dinic's maximum-flow algorithm ships from s to t, stay exported
+//     as the reference engines the cross-check tests solve with directly.
 //
 // Costs are int64 fixed-point values: callers quantise their (float) energy
 // figures before building the network. Integer costs make integrality and
@@ -54,7 +50,6 @@ type Network struct {
 	from, to    []int32
 	lower, capU []int64
 	cost        []int64
-	supply      []int64
 	// lowerBounded counts the arcs with a positive lower bound, so prepare
 	// sizes their penalty copies without a pass over the arcs.
 	lowerBounded int
@@ -63,8 +58,8 @@ type Network struct {
 // Unbounded is a convenience capacity treated as "effectively infinite".
 const Unbounded = int64(math.MaxInt64) / 4
 
-// ErrInfeasible is returned when the requested flow (or the lower bounds /
-// supplies) cannot be satisfied.
+// ErrInfeasible is returned when no flow of the requested value meets the
+// capacities and lower bounds.
 var ErrInfeasible = errors.New("flow: infeasible")
 
 // ErrNegativeCycle is returned when the network's initial residual contains a
@@ -80,7 +75,7 @@ func NewNetwork(n int) *Network {
 	if n < 0 {
 		panic("flow: negative node count")
 	}
-	return &Network{n: n, supply: make([]int64, n)}
+	return &Network{n: n}
 }
 
 // NewNetworkSized returns an empty network with n nodes and capacity for
@@ -107,13 +102,6 @@ func (nw *Network) N() int { return nw.n }
 
 // M reports the number of arcs.
 func (nw *Network) M() int { return len(nw.from) }
-
-// AddNode appends a node and returns its ID.
-func (nw *Network) AddNode() int {
-	nw.supply = append(nw.supply, 0)
-	nw.n++
-	return nw.n - 1
-}
 
 // AddArc adds an arc from->to with the given flow lower bound, capacity and
 // per-unit cost, returning its ArcID.
@@ -148,35 +136,6 @@ func (nw *Network) MustArc(from, to int, lower, capacity, cost int64) ArcID {
 	return id
 }
 
-// SetSupply sets node v's imbalance: positive for supply, negative for
-// demand. The sum of all supplies must be zero when the network is solved.
-func (nw *Network) SetSupply(v int, b int64) {
-	if v < 0 || v >= nw.n {
-		//lealint:ignore LEA0201 index precondition, mirrors slice-bounds semantics
-		panic(fmt.Sprintf("flow: node %d out of range", v))
-	}
-	nw.supply[v] = b
-}
-
-// AddSupply adds b to node v's imbalance.
-func (nw *Network) AddSupply(v int, b int64) {
-	if v < 0 || v >= nw.n {
-		//lealint:ignore LEA0201 index precondition, mirrors slice-bounds semantics
-		panic(fmt.Sprintf("flow: node %d out of range", v))
-	}
-	nw.supply[v] += b
-}
-
-// Supply returns node v's configured imbalance: positive for supply, negative
-// for demand.
-func (nw *Network) Supply(v int) int64 {
-	if v < 0 || v >= nw.n {
-		//lealint:ignore LEA0201 index precondition, mirrors slice-bounds semantics
-		panic(fmt.Sprintf("flow: node %d out of range", v))
-	}
-	return nw.supply[v]
-}
-
 // Arc returns the endpoints, bounds and cost of arc id.
 func (nw *Network) Arc(id ArcID) (from, to int, lower, capacity, cost int64) {
 	return int(nw.from[id]), int(nw.to[id]), nw.lower[id], nw.capU[id], nw.cost[id]
@@ -196,27 +155,27 @@ func (s *Solution) Flow(id ArcID) int64 { return s.FlowByArc[id] }
 
 // residual is the paired-arc residual representation shared by the solvers.
 // Raw arc index 2i is the forward copy of user arc i, with its capacity less
-// its lower bound, and 2i+1 its reverse; the super source/sink arcs follow,
-// then one penalty copy pair per lower-bounded arc (prepared.lowered).
+// its lower bound, and 2i+1 its reverse; one penalty copy pair per
+// lower-bounded arc follows (prepared.lowered).
 //
 // Storage is structure-of-arrays and, after ensureCSR, physically permuted
 // into CSR order: arcs grouped by tail node (start[v]..start[v+1] delimits
 // node v's contiguous run), stable in raw-index order within a node. The
 // solver inner loops therefore stream tail/to/capR/cost contiguously with no
 // adjacency indirection at all. pos maps raw arc indices to storage
-// positions (for cost installs, flow extraction and super-arc patching) and
-// rev links each storage position to its paired reverse arc's position —
-// the SoA replacement for the former idx^1 trick.
+// positions (for cost installs and flow extraction) and rev links each
+// storage position to its paired reverse arc's position — the SoA
+// replacement for the former idx^1 trick.
 //
-// live is the live-arc set: one bit per storage position. While an SSP
-// stage runs, bit p is set exactly when capR[p] > 0, so Dijkstra and the
-// topological pass walk a node's run through its set bits, in increasing
-// position as a capacity scan would, and never touch an arc without
-// residual capacity. prepare snapshots the zero-flow set beside the
-// zero-flow capacities, every full re-solve restores both together, and
-// ssp updates the bits of each arc an augmentation changes. Dinic,
-// Bellman–Ford, cycle cancelling and cost scaling read capR and leave the
-// set stale; none of them runs inside an SSP stage.
+// live is the live-arc set: one bit per storage position. While SSP runs,
+// bit p is set exactly when capR[p] > 0, so Dijkstra and the topological
+// pass walk a node's run through its set bits, in increasing position as a
+// capacity scan would, and never touch an arc without residual capacity.
+// prepare snapshots the zero-flow set beside the zero-flow capacities,
+// every full re-solve restores both together, and ssp updates the bits of
+// each arc an augmentation changes. Dinic, cycle cancelling and cost
+// scaling move flow through capR alone and leave the set stale; none of
+// them runs inside an SSP solve.
 type residual struct {
 	n    int
 	tail []int32 // tail[p] = tail node of the arc stored at p
@@ -225,7 +184,7 @@ type residual struct {
 	cost []int64
 	rev  []int32  // rev[p] = storage position of p's paired reverse arc
 	pos  []int32  // pos[i] = storage position of raw arc index i
-	live []uint64 // bit p%64 of live[p/64]: capR[p] > 0, during SSP stages
+	live []uint64 // bit p%64 of live[p/64]: capR[p] > 0, during SSP solves
 	// CSR index, valid while dirty is false.
 	start []int32 // len n+1; start[v] = first storage position of node v
 	// ensureCSR scratch.
@@ -234,13 +193,6 @@ type residual struct {
 	tmp32  []int32
 	tmp64  []int64
 	dirty  bool
-}
-
-// addNode extends the residual with a fresh node.
-func (r *residual) addNode() int {
-	r.n++
-	r.dirty = true
-	return r.n - 1
 }
 
 // addPair appends a forward arc u->v (cap c, cost w) and its zero-capacity
@@ -371,34 +323,4 @@ func (r *residual) liveWord(wi, lo, hi int) uint64 {
 		w &= ^uint64(0) >> (63 - (uint(hi-1) & 63))
 	}
 	return w
-}
-
-// Stats summarises a network's shape for diagnostics and benchmarks.
-type Stats struct {
-	Nodes, Arcs   int
-	LowerBounded  int
-	NegativeCosts int
-	TotalSupply   int64
-}
-
-// Stats computes the network's shape summary.
-func (nw *Network) Stats() Stats {
-	st := Stats{Nodes: nw.n, Arcs: len(nw.from), LowerBounded: nw.lowerBounded}
-	for i := range nw.from {
-		if nw.cost[i] < 0 {
-			st.NegativeCosts++
-		}
-	}
-	for _, b := range nw.supply {
-		if b > 0 {
-			st.TotalSupply += b
-		}
-	}
-	return st
-}
-
-// String renders the stats compactly.
-func (st Stats) String() string {
-	return fmt.Sprintf("nodes=%d arcs=%d lower-bounded=%d negative-cost=%d supply=%d",
-		st.Nodes, st.Arcs, st.LowerBounded, st.NegativeCosts, st.TotalSupply)
 }

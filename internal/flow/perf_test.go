@@ -5,36 +5,34 @@ import (
 	"testing"
 )
 
-// buildWarmInstance returns a prepared-capable network with supplies baked
-// in, plus two cost vectors to alternate between (forcing real Dijkstra
-// rounds on every re-solve rather than the delta-zero fast path).
-func buildWarmInstance(rng *rand.Rand) (*Network, []int64, []int64) {
-	nw, s, t, value := randomInstance(rng)
-	nw.AddSupply(s, value)
-	nw.AddSupply(t, -value)
-	costsA := arcCosts(nw)
-	costsB := make([]int64, len(costsA))
+// buildWarmInstance returns a random instance with its value's endpoints
+// and two cost vectors to alternate between (forcing real Dijkstra rounds
+// on every re-solve rather than the delta-zero fast path).
+func buildWarmInstance(rng *rand.Rand) (nw *Network, s, t int, value int64, costsA, costsB []int64) {
+	nw, s, t, value = randomInstance(rng)
+	costsA = arcCosts(nw)
+	costsB = make([]int64, len(costsA))
 	for i, c := range costsA {
 		costsB[i] = c + int64(rng.Intn(3)) // perturbed second view
 	}
-	return nw, costsA, costsB
+	return nw, s, t, value, costsA, costsB
 }
 
-// TestWarmSolveZeroAlloc: after the first (preparing) solve, b-flow
-// re-solves through MinCostFlowValueWithCostsInto must not allocate — with
-// unchanged costs (delta-zero path) and with alternating cost vectors (full
-// Dijkstra rounds).
+// TestWarmSolveZeroAlloc: after the first (preparing) solve, re-solves
+// through MinCostFlowValueWithCostsInto must not allocate — with unchanged
+// costs (delta-zero path) and with alternating cost vectors (full Dijkstra
+// rounds).
 func TestWarmSolveZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	nw, costsA, costsB := buildWarmInstance(rng)
+	nw, s, tt, value, costsA, costsB := buildWarmInstance(rng)
 	sc := NewScratch()
 	var sol Solution
 	var st SolveStats
-	if err := nw.MinCostFlowValueWithCostsInto(SSP, costsA, sc, 0, 0, 0, &sol, &st); err != nil {
+	if err := nw.MinCostFlowValueWithCostsInto(SSP, costsA, sc, s, tt, value, &sol, &st); err != nil {
 		t.Fatal(err)
 	}
 	// Exercise both cost views once so every buffer reaches final size.
-	if err := nw.MinCostFlowValueWithCostsInto(SSP, costsB, sc, 0, 0, 0, &sol, &st); err != nil {
+	if err := nw.MinCostFlowValueWithCostsInto(SSP, costsB, sc, s, tt, value, &sol, &st); err != nil {
 		t.Fatal(err)
 	}
 	flip := false
@@ -44,12 +42,12 @@ func TestWarmSolveZeroAlloc(t *testing.T) {
 			costs = costsB
 		}
 		flip = !flip
-		if err := nw.MinCostFlowValueWithCostsInto(SSP, costs, sc, 0, 0, 0, &sol, &st); err != nil {
+		if err := nw.MinCostFlowValueWithCostsInto(SSP, costs, sc, s, tt, value, &sol, &st); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm b-flow MinCostFlowValueWithCostsInto allocates %.1f/op, want 0", allocs)
+		t.Errorf("warm MinCostFlowValueWithCostsInto allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -58,9 +56,8 @@ func TestWarmSolveZeroAlloc(t *testing.T) {
 // allocation-free once warm.
 func TestWarmValueSolveZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	nw, _, _ := buildWarmInstance(rng)
+	nw, s, tt, _ := randomInstance(rng)
 	costs := arcCosts(nw)
-	s, tt := nw.N()-2, nw.N()-1
 	sc := NewScratch()
 	var sol Solution
 	var st SolveStats

@@ -4,33 +4,20 @@ import "math/bits"
 
 const infCost = int64(1) << 60
 
-// ssp runs successive shortest paths from s to t until `required` units are
-// shipped or t becomes unreachable. Returns the amount shipped.
-//
-// A solve calls it once per stage. Stage 1, from the super source, starts
-// from fresh potentials and ships each path's bottleneck. Stage 2, from
-// the value's s (Scratch.valueStage), keeps the potentials the flow in the
-// residual left and ships one unit per round. An optimal flow plus one unit
-// on a shortest s→t path is optimal for one more unit, and stage 2 never
-// touches a super arc, since stage 1 saturated every one. So the state after
-// k stage-2 rounds does not depend on the value asked for: a solve for a
-// larger value under the same costs continues a held solve's rounds and
-// reaches the cold solve's flow.
+// ssp runs successive shortest paths from s to t, one unit per round, until
+// required units are shipped or t becomes unreachable, and returns the
+// amount shipped. It starts from the potentials in the scratch: the ones
+// initPotentials computed for the zero flow on a full solve, or the ones a
+// held solve's rounds left. An optimal flow plus one unit on a shortest
+// s→t path is optimal for one more unit, so the state after k rounds does
+// not depend on the value asked for: a solve for a larger value under the
+// same costs continues a held solve's rounds and reaches the cold solve's
+// flow.
 //
 //lea:noalloc
 func ssp(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, error) {
 	r := &sc.r
-	r.ensureCSR()
-	var pi []int64
-	if sc.valueStage {
-		pi = sc.pi[:r.n]
-	} else {
-		var err error
-		pi, err = initPotentials(r, sc)
-		if err != nil {
-			return 0, err
-		}
-	}
+	pi := sc.pi[:r.n]
 	sc.dist = grow64(sc.dist, r.n)       //lea:allocs scratch growth on first solve of a larger network
 	sc.prevArc = grow32(sc.prevArc, r.n) //lea:allocs scratch growth on first solve of a larger network
 	dist, prevArc := sc.dist, sc.prevArc
@@ -49,58 +36,44 @@ func ssp(sc *Scratch, s, t int, required int64, st *SolveStats) (int64, error) {
 		for v := range pi {
 			pi[v] += min(dist[v], dt)
 		}
-		// Bottleneck along the s->t path (prevArc forms a tree, so the walk
-		// terminates at s); stage 2 ships one unit.
-		bottleneck := required - shipped
-		if sc.valueStage {
-			bottleneck = 1
-		}
-		for v := t; v != s; {
-			a := prevArc[v]
-			if r.capR[a] < bottleneck {
-				bottleneck = r.capR[a]
-			}
-			v = int(r.tail[a])
-		}
+		// Ship one unit along the s->t path (prevArc forms a tree, so the
+		// walk terminates at s).
 		for v := t; v != s; {
 			a := prevArc[v]
 			b := r.rev[a]
-			r.capR[a] -= bottleneck
-			r.capR[b] += bottleneck
+			r.capR[a]--
+			r.capR[b]++
 			r.syncLive(a)
 			r.syncLive(b)
 			v = int(r.tail[a])
 		}
-		shipped += bottleneck
+		shipped++
 		st.Augmentations++
 	}
 	return shipped, nil
 }
 
-// initPotentials computes initial node potentials (shortest distances from
-// the super source and from the value's s, both at 0, over arcs with
-// residual capacity, tolerating negative costs) into the scratch's potential
-// buffer. Rooting at s as well gives every node stage 2 can reach a finite
-// potential even when stage 1 opens no path to s. The initial residual of a
-// DAG-shaped network is acyclic, so a single relaxation pass in topological
-// order suffices — O(V+E). Bellman-Ford remains as the fallback for non-DAG
-// inputs.
+// initPotentials computes initial node potentials, the shortest distances
+// from s over arcs with residual capacity, tolerating negative costs, into
+// the scratch's potential buffer. A node s cannot reach keeps infCost, and
+// no round ever reaches it. The initial residual of a DAG-shaped network is
+// acyclic, so a single relaxation pass in topological order suffices —
+// O(V+E). Bellman-Ford remains as the fallback for non-DAG inputs.
 //
 //lea:noalloc
-func initPotentials(r *residual, sc *Scratch) ([]int64, error) {
+func initPotentials(r *residual, sc *Scratch, s int) error {
 	sc.pi = grow64(sc.pi, r.n) //lea:allocs potential growth on first solve of a larger network
 	dist := sc.pi
-	p := &sc.prep
 	for v := range dist {
 		dist[v] = infCost
 	}
-	dist[p.superS], dist[p.s] = 0, 0
+	dist[s] = 0
 	if dagRelax(r, sc, dist) {
-		return dist, nil
+		return nil
 	}
 	// Cycle among capacitated arcs: re-run the general algorithm (it resets
 	// dist itself).
-	return bellmanFord(r, p.superS, p.s, dist)
+	return bellmanFord(r, s, dist)
 }
 
 // dagRelax attempts one topological-order relaxation pass over the arcs with
@@ -158,19 +131,19 @@ func dagRelax(r *residual, sc *Scratch, dist []int64) bool {
 	return processed == r.n
 }
 
-// bellmanFord computes shortest distances from roots s1 and s2 over arcs with
-// residual capacity, tolerating negative costs, into dist. A negative cycle
+// bellmanFord computes shortest distances from s over arcs with residual
+// capacity, tolerating negative costs, into dist. A negative cycle s reaches
 // in the initial residual means the network prices a free lunch (a
 // cost-reducing cycle within capacity bounds); it is reported as
 // ErrNegativeCycle rather than a panic so malformed inputs surface as
 // ordinary errors.
 //
 //lea:noalloc
-func bellmanFord(r *residual, s1, s2 int, dist []int64) ([]int64, error) {
+func bellmanFord(r *residual, s int, dist []int64) error {
 	for v := range dist {
 		dist[v] = infCost
 	}
-	dist[s1], dist[s2] = 0, 0
+	dist[s] = 0
 	for round := 0; ; round++ {
 		changed := false
 		for u := range dist {
@@ -189,10 +162,10 @@ func bellmanFord(r *residual, s1, s2 int, dist []int64) ([]int64, error) {
 			}
 		}
 		if !changed {
-			return dist, nil
+			return nil
 		}
 		if round > len(dist) {
-			return nil, ErrNegativeCycle
+			return ErrNegativeCycle
 		}
 	}
 }
@@ -211,10 +184,10 @@ func bellmanFord(r *residual, s1, s2 int, dist []int64) ([]int64, error) {
 // among distance-0 entries, and each positive label is recorded with the
 // sequence number its push would have taken, so the heap built from the one
 // live label per node orders them as before. dist and prevArc, and with them
-// every augmenting path, are the heap-only round's. Both stages walk a
-// node's run through the live-arc set, lowest position first, so they
-// relax the arcs a capacity scan would, in its order, and skip the rest
-// unread.
+// every augmenting path, are the heap-only round's. Both stages of the
+// round walk a node's run through the live-arc set, lowest position first,
+// so they relax the arcs a capacity scan would, in its order, and skip the
+// rest unread.
 //
 //lea:noalloc
 func dijkstra(r *residual, s, t int, pi, dist []int64, prevArc []int32, h *payHeap, st *SolveStats) {
@@ -245,10 +218,10 @@ func dijkstra(r *residual, s, t int, pi, dist []int64, prevArc []int32, h *payHe
 				a := wi<<6 | bits.TrailingZeros64(w)
 				v := int(r.to[a])
 				if pi[v] >= infCost {
-					// Node was unreachable from both roots when
-					// initPotentials ran, and it still is: augmentations add
-					// reverse arcs only between nodes on the path. Its
-					// potential is meaningless; skip it.
+					// Node was unreachable from s when initPotentials ran,
+					// and it still is: augmentations add reverse arcs only
+					// between nodes on the path. Its potential is
+					// meaningless; skip it.
 					continue
 				}
 				if d := r.cost[a] + pi[u] - pi[v]; d < dist[v] {

@@ -6,10 +6,8 @@ import (
 )
 
 // MinCostFlowValue computes a minimum-cost flow of exactly value units from
-// s to t on top of any supplies and lower bounds already present — value 0
-// solves the plain b-flow of the supplies — with the SSP engine, the
-// network's own arc costs and fresh solver storage. It is the allocating
-// form of MinCostFlowValueWithCostsInto.
+// s to t with the SSP engine, the network's own arc costs and fresh solver
+// storage. It is the allocating form of MinCostFlowValueWithCostsInto.
 func (nw *Network) MinCostFlowValue(s, t int, value int64) (*Solution, error) {
 	sol := &Solution{}
 	if err := nw.MinCostFlowValueWithCostsInto(nil, nil, nil, s, t, value, sol, &SolveStats{}); err != nil {
@@ -19,25 +17,19 @@ func (nw *Network) MinCostFlowValue(s, t int, value int64) (*Solution, error) {
 }
 
 // MinCostFlowValueWithCostsInto is the package's one solve path. It computes
-// a minimum-cost feasible flow of exactly value units from s to t on top of
-// any supplies and lower bounds already present (value 0: the plain b-flow
-// of the supplies; s == t: the value ships nothing) and writes the flows
-// and the solve's work statistics into caller-owned sol and st. On error st
-// still describes the attempted solve.
+// a minimum-cost flow of exactly value units from s to t that meets every
+// lower bound (s == t: the value ships nothing) and writes the flows and the
+// solve's work statistics into caller-owned sol and st. On error st still
+// describes the attempted solve.
 //
 // A nil engine selects SSP. A nil cost vector solves under the costs
 // recorded at AddArc time; otherwise costs holds one entry per arc, in ArcID
 // order. A nil scratch allocates fresh storage: a cold solve.
 //
-// The value stays apart from the supplies. Preparing a network on a scratch
-// builds its residual topology once (super source/sink, penalty copies, CSR
-// index) together with lo, the smallest value the supplies allow. A solve
-// then runs in two stages: stage 1 ships the supply units plus lo value
-// units from the super source to the super sink, and stage 2 ships the
-// remaining value − lo units from s to t, one unit per SSP round. A value
-// below lo is ErrInfeasible before any round. Lower bounds shift nothing
-// into the supplies: each lower-bounded arc has a penalty copy whose cost
-// is the arc's less more than any simple path costs, so the optimum
+// Preparing a network on a scratch builds its residual topology once
+// (penalty copies, CSR index). A solve then ships the value from s to t,
+// one unit per SSP round. Each lower-bounded arc has a penalty copy whose
+// cost is the arc's less more than any simple path costs, so the optimum
 // saturates every copy whenever some flow of the value meets the bounds,
 // and a copy left with capacity after the rounds is ErrInfeasible. The
 // penalty needs an acyclic network: a lower-bounded arc on a cycle of arcs
@@ -48,15 +40,15 @@ func (nw *Network) MinCostFlowValue(s, t int, value int64) (*Solution, error) {
 // A retained scratch makes re-solves of the same network and endpoints
 // warm: they reuse the prepared topology, only swapping the cost vector
 // and resetting capacities (SolveStats.WarmStart). An SSP re-solve under
-// unchanged costs that keeps or grows the value runs only the extra stage-2
-// rounds on the held flow and potentials (SolveStats.Incremental): the
-// state cold reaches after the held value's rounds, so the answer is the
-// cold one by construction. That holds after a late ErrInfeasible too,
-// whose flow the scratch keeps, so a larger value continues it. Every other
-// re-solve starts from the zero flow and fresh potentials, as a cold solve
-// does, and returns the cold solve's flow arc for arc; a changed supply
-// re-prepares. sol's flow slice is reused, grown only when too small, so a
-// warm re-solve performs zero heap allocations.
+// unchanged costs that keeps or grows the value runs only the extra rounds
+// on the held flow and potentials (SolveStats.Incremental): the state cold
+// reaches after the held value's rounds, so the answer is the cold one by
+// construction. That holds after a late ErrInfeasible too, whose flow the
+// scratch keeps, so a larger value continues it. Every other re-solve
+// starts from the zero flow and fresh potentials, as a cold solve does, and
+// returns the cold solve's flow arc for arc; changed endpoints re-prepare.
+// sol's flow slice is reused, grown only when too small, so a warm re-solve
+// performs zero heap allocations.
 //
 //lea:noalloc
 func (nw *Network) MinCostFlowValueWithCostsInto(e Engine, costs []int64, sc *Scratch, s, t int, value int64, sol *Solution, st *SolveStats) error {
@@ -89,27 +81,25 @@ func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, s, t int
 	}
 	if sc.preparedFor(nw, s, t) {
 		st.WarmStart = true
-	} else if err := sc.prepare(nw, s, t); err != nil {
-		return err
+	} else {
+		sc.prepare(nw, s, t)
 	}
 	p := &sc.prep
-	if p.lo < 0 || value < p.lo {
-		return ErrInfeasible // no round ran: a held flow stays held
-	}
-	// The held flow is cold's state after its value's stage-2 rounds under
-	// these costs, so more rounds on it reach cold's state for any larger
-	// value, and zero rounds keep it: the hot case of a serving workload
-	// repeating identical requests.
+	// The held flow is cold's state after its value's rounds under these
+	// costs, so more rounds on it reach cold's state for any larger value,
+	// and zero rounds keep it: the hot case of a serving workload repeating
+	// identical requests.
 	incremental := sc.solved && e == SSP && value >= sc.held && costsEqual(sc.lastCosts, costs)
 	sc.solved = false
 	r := &sc.r
-	base := sc.held
+	var base int64
 	if incremental {
 		st.Incremental = true
+		base = sc.held
 	} else {
 		// A full re-solve, warm or cold, resets the zero-flow capacities and
-		// their live-arc set from prepare's storage-ordered snapshots and
-		// runs stage 1 from fresh potentials, exactly the cold solve's
+		// their live-arc set from prepare's storage-ordered snapshots and,
+		// for SSP, starts from fresh potentials: exactly the cold solve's
 		// rounds. No engine adds or removes arcs, so prepare's CSR index
 		// still holds.
 		copy(r.capR, p.initCap)
@@ -117,25 +107,18 @@ func (nw *Network) solveWithCosts(e Engine, costs []int64, sc *Scratch, s, t int
 		if err := sc.installCosts(costs); err != nil {
 			return err
 		}
-		pushed, err := e.run(sc, p.superS, p.superT, p.required, st)
-		if err != nil {
-			return err
+		if e == SSP {
+			if err := initPotentials(r, sc, s); err != nil {
+				return err
+			}
 		}
-		if pushed < p.required {
-			return ErrInfeasible
-		}
-		base = p.lo
 	}
-	if value > base {
-		sc.valueStage = true
-		pushed, err := e.run(sc, s, t, value-base, st)
-		sc.valueStage = false
-		if err != nil {
-			return err
-		}
-		if base+pushed < value {
-			return ErrInfeasible
-		}
+	pushed, err := e.run(sc, s, t, value-base, st)
+	if err != nil {
+		return err
+	}
+	if base+pushed < value {
+		return ErrInfeasible
 	}
 	// Only SSP keeps the potentials the next incremental solve starts from.
 	if e == SSP {
@@ -178,13 +161,12 @@ func (nw *Network) readFlow(sc *Scratch, costs []int64, sol *Solution) {
 }
 
 // installCosts writes the per-arc cost vector onto the forward/reverse
-// residual pairs through the raw-to-storage position map; the super arcs
-// keep their constant zero cost. Each penalty copy costs its arc's cost
-// less the penalty n·Cmax + 1, for n residual nodes and Cmax the largest
-// |cost| in the vector. A simple residual cycle has at most n arcs, so
-// apart from penalties it costs at most n·Cmax, and one that fills more
-// copy units than it empties is negative: an optimum saturates every copy
-// whenever some flow of its value can. With the penalty, no path costs
+// residual pairs through the raw-to-storage position map. Each penalty copy
+// costs its arc's cost less the penalty n·Cmax + 1, for n residual nodes
+// and Cmax the largest |cost| in the vector. A simple residual cycle has at
+// most n arcs, so apart from penalties it costs at most n·Cmax, and one
+// that fills more copy units than it empties is negative: an optimum
+// saturates every copy whenever some flow of its value can. With the penalty, no path costs
 // more than n·(n·Cmax + 1 + Cmax) in absolute value; a vector that would
 // take that past infCost/4, where Dijkstra's distances could reach
 // infCost, is rejected before any round.
@@ -219,62 +201,24 @@ func (sc *Scratch) installCosts(costs []int64) error {
 }
 
 // preparedFor reports whether the scratch holds a prepared residual topology
-// matching the network's current shape and supplies and the value's
-// endpoints.
+// matching the network's current shape and the value's endpoints.
 //
 //lea:noalloc
 func (sc *Scratch) preparedFor(nw *Network, s, t int) bool {
 	p := &sc.prep
-	if !p.valid || p.net != nw || p.n != nw.n || p.m != len(nw.from) || p.s != s || p.t != t {
-		return false
-	}
-	for v, b := range nw.supply {
-		if p.supply[v] != b {
-			return false
-		}
-	}
-	return true
+	return p.valid && p.net == nw && p.n == nw.n && p.m == len(nw.from) && p.s == s && p.t == t
 }
 
-// prepare builds the residual topology for the network's current supplies
-// and the value's endpoints s and t (costs zeroed; each solve installs its
-// own) and snapshots the zero-flow capacities and their live-arc set so
-// re-solves can reset each in one copy. The live set is built from that
-// snapshot, not from the residual, which holds lowestValue's flow. Each arc
-// keeps its capacity less its lower bound, and each lower-bounded arc gets
-// a penalty copy, appended after the super arcs, whose capacity is the
-// bound; installCosts prices it. The supplies get super source/sink arcs,
-// and the value gets super arcs of its own, into s and out of t, which
-// stage 1 holds at lo, and a t→s arc that only lowestValue opens. When lo
-// exists, prepare leaves a feasible flow of value lo in the residual. The
-// value's arcs come first among the super arcs, so stage 1's distance-0
-// stack pops s, the widest fan-out, after the supply nodes.
-func (sc *Scratch) prepare(nw *Network, s, t int) error {
-	var total int64
-	for _, b := range nw.supply {
-		total += b
-	}
-	if total != 0 {
-		return fmt.Errorf("flow: supplies sum to %d, want 0", total)
-	}
-	r := sc.resetResidual(nw.n, len(nw.from)+nw.n+3+nw.lowerBounded, nw.lowerBounded)
+// prepare builds the residual topology for the network and the value's
+// endpoints s and t (costs zeroed; each solve installs its own) and
+// snapshots the zero-flow capacities and their live-arc set so re-solves
+// can reset each in one copy. Each arc keeps its capacity less its lower
+// bound, and each lower-bounded arc gets a penalty copy, appended after
+// the arcs, whose capacity is the bound; installCosts prices it.
+func (sc *Scratch) prepare(nw *Network, s, t int) {
+	r := sc.resetResidual(nw.n, len(nw.from)+nw.lowerBounded, nw.lowerBounded)
 	for i := range nw.from {
 		r.addPair(int(nw.from[i]), int(nw.to[i]), nw.capU[i]-nw.lower[i], 0)
-	}
-	superS := r.addNode()
-	superT := r.addNode()
-	valueIn := r.addPair(superS, s, 0, 0)
-	valueOut := r.addPair(t, superT, 0, 0)
-	closing := r.addPair(t, s, 0, 0)
-	var required int64
-	for v, b := range nw.supply {
-		switch {
-		case b > 0:
-			r.addPair(superS, v, b, 0)
-			required += b
-		case b < 0:
-			r.addPair(v, superT, -b, 0)
-		}
 	}
 	p := &sc.prep
 	p.copies = len(r.to)
@@ -291,51 +235,13 @@ func (sc *Scratch) prepare(nw *Network, s, t int) error {
 	p.n = nw.n
 	p.m = len(nw.from)
 	p.s, p.t = s, t
-	p.superS, p.superT = superS, superT
 	p.initCap = append(p.initCap[:0], r.capR...)
-	p.supply = append(p.supply[:0], nw.supply...)
-	// Without supplies the zero flow ships value 0.
-	p.lo = 0
-	if required > 0 {
-		p.lo = sc.lowestValue(required, r.pos[closing], r.pos[closing^1])
-	}
-	if p.lo > 0 {
-		p.initCap[r.pos[valueIn]] = p.lo
-		p.initCap[r.pos[valueOut]] = p.lo
-		required += p.lo
-	}
-	p.required = required
 	// The live-arc sets take their exact sizes here, once.
 	words := (len(r.capR) + 63) / 64
 	r.live = growU64(r.live, words)
 	p.initLive = growU64(p.initLive, words)
 	fillLive(p.initLive, p.initCap)
 	p.valid = true // after resetResidual, which clears it
-	return nil
-}
-
-// lowestValue returns the smallest value the prepared network's supplies
-// allow it to ship from s to t, or -1 when they allow none, by one min-flow
-// computation on the zero-flow residual. Lower bounds play no part: an
-// arc's main and penalty copies together carry its full capacity. With the
-// t→s arc at positions fwd and bwd opened wide, Dinic ships the required
-// supply units from the super source to the super sink: a feasible flow
-// whose value, the t→s arc's flow, is left free. With that arc closed
-// again, Dinic from t to s hands back every unit of value some t→s path can
-// carry. That pass cannot cross a super arc: the first saturated every
-// supply arc, and the value's own are still closed.
-func (sc *Scratch) lowestValue(required int64, fwd, bwd int32) int64 {
-	r, p := &sc.r, &sc.prep
-	r.capR[fwd] = Unbounded
-	if dinic(sc, p.superS, p.superT, required) < required {
-		return -1
-	}
-	f := r.capR[bwd]
-	r.capR[fwd], r.capR[bwd] = 0, 0
-	if f > 0 {
-		f -= dinic(sc, p.t, p.s, f)
-	}
-	return f
 }
 
 // costsEqual reports element-wise equality of two cost vectors.

@@ -37,19 +37,17 @@ func negativeReducedCost(sc *Scratch) int {
 // TestSolveWithCostsMatchesCold: with the identity cost vector a retained
 // scratch must agree with a fresh-scratch solve under the network's own
 // costs — same objective, feasible flows — and the second solve on the same
-// scratch, unchanged in costs and supplies, must keep the first one's flow:
-// an incremental solve of a zero delta on the held potentials.
+// scratch, unchanged in costs and value, must keep the first one's flow: an
+// incremental solve of a zero delta on the held potentials.
 func TestSolveWithCostsMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sc := NewScratch()
 	for i := 0; i < 100; i++ {
 		nw, s, tt, value := randomInstance(rng)
-		nw.AddSupply(s, value)
-		nw.AddSupply(tt, -value)
 		costs := arcCosts(nw)
-		cold, _, errC := bflow(nw, SSP, nil, nil)
+		cold, _, errC := solveValue(nw, SSP, nil, nil, s, tt, value)
 		for round := 0; round < 2; round++ {
-			warm, st, errW := bflow(nw, SSP, costs, sc)
+			warm, st, errW := solveValue(nw, SSP, costs, sc, s, tt, value)
 			if (errC == nil) != (errW == nil) {
 				t.Fatalf("instance %d round %d: cold err %v, warm err %v", i, round, errC, errW)
 			}
@@ -62,7 +60,7 @@ func TestSolveWithCostsMatchesCold(t *testing.T) {
 			if warm.Cost != cold.Cost {
 				t.Fatalf("instance %d round %d: warm cost %d != cold %d", i, round, warm.Cost, cold.Cost)
 			}
-			if err := nw.CheckFeasible(warm); err != nil {
+			if err := nw.CheckFeasible(warm, s, tt, value); err != nil {
 				t.Fatalf("instance %d round %d: %v", i, round, err)
 			}
 			if round == 1 && !(st.WarmStart && st.Incremental) {
@@ -74,7 +72,7 @@ func TestSolveWithCostsMatchesCold(t *testing.T) {
 }
 
 // TestWarmStartPropertyAllEngines is the cross-solver property: ~50 random
-// b-flow networks solved with SSP cold, SSP warm-started after a
+// networks solved with SSP cold, SSP warm-started after a
 // perturb-then-restore cost round trip, and cycle cancelling must all agree
 // on the optimal cost. The perturbed intermediate solve leaves the scratch
 // holding another cost vector's optimum, so the restore solve must take the
@@ -84,22 +82,20 @@ func TestWarmStartPropertyAllEngines(t *testing.T) {
 	sc := NewScratch()
 	for i := 0; i < 50; i++ {
 		nw, s, tt, value := randomInstance(rng)
-		nw.AddSupply(s, value)
-		nw.AddSupply(tt, -value)
 		costs := arcCosts(nw)
 
-		cold, _, errCold := bflow(nw, SSP, nil, nil)
-		cc, _, errCC := bflow(nw, CycleCancelling, nil, nil)
+		cold, _, errCold := solveValue(nw, SSP, nil, nil, s, tt, value)
+		cc, _, errCC := solveValue(nw, CycleCancelling, nil, nil, s, tt, value)
 
 		// Perturb every cost, solve, then restore and re-solve warm.
 		perturbed := make([]int64, len(costs))
 		for a := range perturbed {
 			perturbed[a] = costs[a] + int64(rng.Intn(9)-4)
 		}
-		if _, _, err := bflow(nw, SSP, perturbed, sc); err != nil && !errors.Is(err, ErrInfeasible) {
+		if _, _, err := solveValue(nw, SSP, perturbed, sc, s, tt, value); err != nil && !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("instance %d: perturbed solve: %v", i, err)
 		}
-		warm, wst, errWarm := bflow(nw, SSP, costs, sc)
+		warm, wst, errWarm := solveValue(nw, SSP, costs, sc, s, tt, value)
 
 		if errCold != nil || errCC != nil || errWarm != nil {
 			if !errors.Is(errCold, ErrInfeasible) || !errors.Is(errCC, ErrInfeasible) || !errors.Is(errWarm, ErrInfeasible) {
@@ -116,7 +112,7 @@ func TestWarmStartPropertyAllEngines(t *testing.T) {
 			t.Fatalf("instance %d: costs disagree: warm %d, cold %d, cyclecancel %d",
 				i, warm.Cost, cold.Cost, cc.Cost)
 		}
-		if err := nw.CheckFeasible(warm); err != nil {
+		if err := nw.CheckFeasible(warm, s, tt, value); err != nil {
 			t.Fatalf("instance %d: warm solution infeasible: %v", i, err)
 		}
 	}
@@ -133,12 +129,10 @@ func TestSolveWithCostsEngines(t *testing.T) {
 			sc := NewScratch()
 			for i := 0; i < 40; i++ {
 				nw, s, tt, value := randomInstance(rng)
-				nw.AddSupply(s, value)
-				nw.AddSupply(tt, -value)
 				costs := arcCosts(nw)
-				ref, _, errRef := bflow(nw, SSP, nil, nil)
+				ref, _, errRef := solveValue(nw, SSP, nil, nil, s, tt, value)
 				for round := 0; round < 2; round++ {
-					sol, _, err := bflow(nw, e, costs, sc)
+					sol, _, err := solveValue(nw, e, costs, sc, s, tt, value)
 					if (errRef == nil) != (err == nil) {
 						t.Fatalf("instance %d: ref err %v, %s err %v", i, errRef, e.Name(), err)
 					}
@@ -148,7 +142,7 @@ func TestSolveWithCostsEngines(t *testing.T) {
 					if sol.Cost != ref.Cost {
 						t.Fatalf("instance %d round %d: cost %d != ref %d", i, round, sol.Cost, ref.Cost)
 					}
-					if err := nw.CheckFeasible(sol); err != nil {
+					if err := nw.CheckFeasible(sol, s, tt, value); err != nil {
 						t.Fatalf("instance %d: %v", i, err)
 					}
 				}
@@ -166,12 +160,10 @@ func TestEnginesKeepResidualTopology(t *testing.T) {
 	sc := NewScratch()
 	for i := 0; i < 60; i++ {
 		nw, s, tt, value := randomInstance(rng)
-		nw.AddSupply(s, value)
-		nw.AddSupply(tt, -value)
 		costs := arcCosts(nw)
-		cold, _, errCold := bflow(nw, SSP, costs, nil)
+		cold, _, errCold := solveValue(nw, SSP, costs, nil, s, tt, value)
 		for _, e := range engines() {
-			if _, _, err := bflow(nw, e, costs, sc); (err == nil) != (errCold == nil) {
+			if _, _, err := solveValue(nw, e, costs, sc, s, tt, value); (err == nil) != (errCold == nil) {
 				t.Fatalf("instance %d: %s err %v, cold err %v", i, e.Name(), err, errCold)
 			}
 			r := &sc.r
@@ -179,7 +171,7 @@ func TestEnginesKeepResidualTopology(t *testing.T) {
 				t.Fatalf("instance %d: after %s the residual holds %d arcs (prepared %d), dirty=%t, %d CSR offsets for %d nodes",
 					i, e.Name(), len(r.to), len(sc.prep.initCap), r.dirty, len(r.start), r.n)
 			}
-			warm, _, err := bflow(nw, SSP, costs, sc)
+			warm, _, err := solveValue(nw, SSP, costs, sc, s, tt, value)
 			if (err == nil) != (errCold == nil) {
 				t.Fatalf("instance %d: SSP re-solve after %s err %v, cold err %v", i, e.Name(), err, errCold)
 			}
@@ -192,8 +184,7 @@ func TestEnginesKeepResidualTopology(t *testing.T) {
 }
 
 // TestSolveWithCostsValueChange: changing the shipped value keeps the
-// prepared topology (the value is not a supply) and still solves correctly
-// at each value.
+// prepared topology and still solves correctly at each value.
 func TestSolveWithCostsValueChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	nw, s, tt, _ := randomInstance(rng)
@@ -249,14 +240,7 @@ func TestIncrementalValueSweep(t *testing.T) {
 				t.Fatalf("instance %d value %d: warm cost %d != cold %d (incremental=%t)",
 					i, value, warm.Cost, cold.Cost, st.Incremental)
 			}
-			// CheckFeasible validates against current supplies; re-apply the
-			// s→t value the solve used (it restores supplies on return).
-			nw.AddSupply(s, value)
-			nw.AddSupply(tt, -value)
-			err := nw.CheckFeasible(warm)
-			nw.AddSupply(s, -value)
-			nw.AddSupply(tt, value)
-			if err != nil {
+			if err := nw.CheckFeasible(warm, s, tt, value); err != nil {
 				t.Fatalf("instance %d value %d: %v", i, value, err)
 			}
 		}
@@ -308,11 +292,11 @@ func randomLowerBoundInstance(rng *rand.Rand) (*Network, int, int) {
 	return nw, s, t
 }
 
-// firstFeasible solves on sc for the values 0, 1, … up to most and returns
-// the first that is feasible, or -1 when none is.
-func firstFeasible(t *testing.T, nw *Network, costs []int64, sc *Scratch, s, tt int, most int64) int64 {
+// firstFeasible solves on sc for the values from, from+1, … up to most and
+// returns the first that is feasible, or -1 when none is.
+func firstFeasible(t *testing.T, nw *Network, costs []int64, sc *Scratch, s, tt int, from, most int64) int64 {
 	t.Helper()
-	for v := int64(0); v <= most; v++ {
+	for v := from; v <= most; v++ {
 		_, _, err := solveValue(nw, SSP, costs, sc, s, tt, v)
 		if err == nil {
 			return v
@@ -336,7 +320,7 @@ func TestValueClimbIsOneRoundPerUnit(t *testing.T) {
 		nw, s, tt := randomLowerBoundInstance(rng)
 		costs := arcCosts(nw)
 		sc := NewScratch()
-		lo := firstFeasible(t, nw, costs, sc, s, tt, 8)
+		lo := firstFeasible(t, nw, costs, sc, s, tt, 0, 8)
 		if lo < 0 {
 			continue // lower bounds no value satisfies
 		}
@@ -408,49 +392,47 @@ func TestLateInfeasibleVerdictIsContinued(t *testing.T) {
 	t.Logf("%d solves continued an infeasible value's flow", continued)
 }
 
-// TestPatchSuppliesFallback: a supply change re-prepares the topology,
-// whether it creates an imbalance on a node that had none or shrinks one
-// back to zero, and the solver stays correct across both.
-func TestPatchSuppliesFallback(t *testing.T) {
+// TestEndpointChangeReprepares: on one network and one scratch, a solve
+// from s to t, then from another source s′ to t, then from s to t again.
+// The endpoints are all that changes, so each change must re-prepare rather
+// than continue the held flow, and return a fresh scratch's flow arc for
+// arc; a repeat with unchanged endpoints stays warm.
+func TestEndpointChangeReprepares(t *testing.T) {
 	nw := NewNetwork(4)
-	nw.AddArc(0, 1, 0, 5, 2)
-	nw.AddArc(1, 2, 0, 5, 1)
-	nw.AddArc(1, 3, 0, 5, 4)
-	nw.AddArc(2, 3, 0, 5, 1)
-	nw.AddSupply(0, 3)
-	nw.AddSupply(3, -3)
+	nw.MustArc(0, 1, 0, 5, 2)
+	nw.MustArc(1, 2, 0, 5, 1)
+	nw.MustArc(1, 3, 0, 5, 4)
+	nw.MustArc(2, 3, 1, 5, 1)
 	costs := arcCosts(nw)
 	sc := NewScratch()
-	first, _, err := bflow(nw, SSP, costs, sc)
-	if err != nil {
-		t.Fatal(err)
+	steps := []struct {
+		s    int
+		cost int64
+		warm bool
+	}{
+		{0, 3 * (2 + 1 + 1), false},
+		{1, 3 * (1 + 1), false},
+		{0, 3 * (2 + 1 + 1), false},
+		{0, 3 * (2 + 1 + 1), true},
 	}
-	if first.Cost != 3*(2+1+1) {
-		t.Fatalf("first solve cost %d, want 12", first.Cost)
-	}
-	// Node 1 had zero imbalance: making it a source changes the supplies,
-	// so this must re-prepare.
-	nw.AddSupply(1, 2)
-	nw.AddSupply(3, -2)
-	second, st, err := bflow(nw, SSP, costs, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.WarmStart {
-		t.Error("new imbalance on an arc-less node claimed a warm start")
-	}
-	if want := first.Cost + 2*(1+1); second.Cost != want {
-		t.Fatalf("second solve cost %d, want %d", second.Cost, want)
-	}
-	// Back to the original supplies: another re-prepare.
-	nw.AddSupply(1, -2)
-	nw.AddSupply(3, 2)
-	third, _, err := bflow(nw, SSP, costs, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.Cost != first.Cost {
-		t.Fatalf("third solve cost %d, want %d", third.Cost, first.Cost)
+	for i, step := range steps {
+		got, st, err := solveValue(nw, SSP, costs, sc, step.s, 3, 3)
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if st.WarmStart != step.warm {
+			t.Fatalf("step %d (source %d): warm=%t, want %t", i, step.s, st.WarmStart, step.warm)
+		}
+		if got.Cost != step.cost {
+			t.Fatalf("step %d (source %d): cost %d, want %d", i, step.s, got.Cost, step.cost)
+		}
+		fresh, _, err := solveValue(nw, SSP, costs, NewScratch(), step.s, 3, 3)
+		if err != nil {
+			t.Fatalf("step %d: fresh: %v", i, err)
+		}
+		if !slices.Equal(got.FlowByArc, fresh.FlowByArc) {
+			t.Fatalf("step %d (source %d): flow %v, fresh scratch %v", i, step.s, got.FlowByArc, fresh.FlowByArc)
+		}
 	}
 }
 
@@ -462,22 +444,18 @@ func TestSolveWithCostsInvalidatedByColdSolve(t *testing.T) {
 	sc := NewScratch()
 	rng := rand.New(rand.NewSource(13))
 	nwA, sA, tA, vA := randomInstance(rng)
-	nwA.AddSupply(sA, vA)
-	nwA.AddSupply(tA, -vA)
 	nwB, sB, tB, vB := randomInstance(rng)
-	nwB.AddSupply(sB, vB)
-	nwB.AddSupply(tB, -vB)
 
 	costsA := arcCosts(nwA)
-	want, _, errWant := bflow(nwA, SSP, nil, nil)
-	if _, _, err := bflow(nwA, SSP, costsA, sc); (err == nil) != (errWant == nil) {
+	want, _, errWant := solveValue(nwA, SSP, nil, nil, sA, tA, vA)
+	if _, _, err := solveValue(nwA, SSP, costsA, sc, sA, tA, vA); (err == nil) != (errWant == nil) {
 		t.Fatalf("first warm solve: %v vs %v", err, errWant)
 	}
 	// A different network through the same scratch, on its own costs.
-	if _, _, err := bflow(nwB, SSP, nil, sc); err != nil && !errors.Is(err, ErrInfeasible) {
+	if _, _, err := solveValue(nwB, SSP, nil, sc, sB, tB, vB); err != nil && !errors.Is(err, ErrInfeasible) {
 		t.Fatal(err)
 	}
-	got, st, err := bflow(nwA, SSP, costsA, sc)
+	got, st, err := solveValue(nwA, SSP, costsA, sc, sA, tA, vA)
 	if (err == nil) != (errWant == nil) {
 		t.Fatalf("re-solve after another network's solve: %v vs %v", err, errWant)
 	}
@@ -495,9 +473,7 @@ func TestSolveWithCostsInvalidatedByColdSolve(t *testing.T) {
 func TestSolveWithCostsVectorLength(t *testing.T) {
 	nw := NewNetwork(2)
 	nw.MustArc(0, 1, 0, 5, 2)
-	nw.AddSupply(0, 4)
-	nw.AddSupply(1, -4)
-	if _, _, err := bflow(nw, SSP, []int64{1, 2}, nil); err == nil {
+	if _, _, err := solveValue(nw, SSP, []int64{1, 2}, nil, 0, 1, 4); err == nil {
 		t.Fatal("oversized cost vector accepted")
 	}
 }
@@ -512,16 +488,14 @@ func TestInitPotentialsBellmanFordFallback(t *testing.T) {
 	nw.MustArc(2, 3, 0, 5, 2)
 	nw.MustArc(3, 1, 0, 5, 2)
 	nw.MustArc(0, 1, 0, 5, 1)
-	nw.AddSupply(0, 3)
-	nw.AddSupply(2, -3)
-	sol, _, err := bflow(nw, SSP, nil, nil)
+	sol, _, err := solveValue(nw, SSP, nil, nil, 0, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Cost != 3*(1+2) {
 		t.Fatalf("cost %d, want 9", sol.Cost)
 	}
-	cc, _, err := bflow(nw, CycleCancelling, nil, nil)
+	cc, _, err := solveValue(nw, CycleCancelling, nil, nil, 0, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
